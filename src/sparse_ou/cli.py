@@ -23,6 +23,7 @@ from .errors import NumericalError, UnsupportedInputError
 from .experiments import (
     ExperimentPlan,
     export_figure_data,
+    generate_drift,
     plan_from_dict,
     run_experiment,
     summarize,
@@ -40,7 +41,6 @@ from .process import (
 from .solvers import result_to_json, solve_lasso, solve_mle, solve_slope
 from .suffstats import compute_suffstats
 from .theory import check_concentration, compute_c_infty, kl_between, rate_sweep
-from .experiments import generate_drift
 
 
 class CliError(Exception):

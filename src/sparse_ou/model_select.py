@@ -80,15 +80,16 @@ def report_to_csv(report, path):
 
 
 def split_paths(paths, n_train):
-    """Split a bundle into (training prefix, validation suffix) by path index."""
+    """Split a bundle into (training prefix, validation suffix) by path index.
+
+    Both halves are read-only views of ``paths.values``; nothing is copied.
+    """
     if not (1 <= n_train < paths.n_paths):
         raise ValueError("n_train must be in [1, n_paths - 1], got %r" % (n_train,))
-    train_values = paths.values[:n_train].copy()
-    valid_values = paths.values[n_train:].copy()
     common = dict(dim=paths.dim, terminal=paths.terminal, step=paths.step,
                   grid_len=paths.grid_len, seed=paths.seed)
-    train = PathBundle(n_paths=n_train, values=train_values, **common)
-    valid = PathBundle(n_paths=paths.n_paths - n_train, values=valid_values, **common)
+    train = PathBundle(n_paths=n_train, values=paths.values[:n_train], **common)
+    valid = PathBundle(n_paths=paths.n_paths - n_train, values=paths.values[n_train:], **common)
     return train, valid
 
 
@@ -126,7 +127,11 @@ def cross_validate(train_stats, valid_stats, grid, penalty="l1", weights=None, c
             else:
                 fit = solve_slope(train_stats, lam, weights=weights, config=config, warm_start=warm)
         except Exception as exc:
-            raise type(exc)("lambda=%r: %s" % (lam, exc)) from exc
+            # Name the level without calling the constructor, whose signature
+            # is unknown: the same type, the same attributes, chained.
+            named = type(exc).__new__(type(exc), "lambda=%r: %s" % (lam, exc))
+            named.__dict__.update(exc.__dict__)
+            raise named from exc
         fits[lam] = fit
         warm = fit.estimate.entries
     scores = [(lam, loss(valid_stats, fits[lam].estimate.entries).value) for lam in levels]

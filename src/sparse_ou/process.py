@@ -154,7 +154,7 @@ class PathBundle:
 
     ``values`` has shape ``(n_paths, grid_len, dim)`` with
     ``values[i, k]`` the state of path ``i`` at time ``k * step``. The array
-    is read-only; derived bundles (splits, slices) copy.
+    is read-only; a split (``split_paths``) holds read-only views of it.
     """
 
     n_paths: int

@@ -1,10 +1,11 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is a second route to the same quantity: plain Taylor series
-for the matrix exponential, exhaustive enumeration for the sorted-l1
-proximal map, cyclic coordinate descent for the l1 problem, a discretized
-log likelihood ratio for path-law divergences, and small random problem
-factories. None of it reuses package internals beyond public data types.
+for the matrix exponential, exhaustive enumeration and a min-max formula for
+the sorted-l1 proximal map, cyclic coordinate descent for the l1 problem, a
+discretized log likelihood ratio for path-law divergences, and small random
+problem factories. None of it reuses package internals beyond public data
+types.
 """
 
 import itertools
@@ -73,6 +74,36 @@ def brute_prox_sorted_l1(vector, weights, scale):
             best_value = value
             best = candidate
     return best, best_value
+
+
+def minmax_isotonic_nonincreasing(values):
+    """Projection onto the nonincreasing cone by the min-max formula.
+
+    ``x_i = min_{j <= i} max_{k >= i} mean(y_j .. y_k)``, from all O(p^2)
+    block means at once: a reverse cumulative max over ``k`` in each row
+    ``j``, then a cumulative min over ``j`` down each column, read on the
+    diagonal. No pooling is involved.
+    """
+    y = np.asarray(values, dtype=float)
+    p = y.size
+    prefix = np.concatenate(([0.0], np.cumsum(y)))
+    j = np.arange(p)[:, None]
+    k = np.arange(p)[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        means = np.where(k >= j, (prefix[1:][None, :] - prefix[:-1][:, None]) / (k - j + 1), -np.inf)
+    tail_max = np.maximum.accumulate(means[:, ::-1], axis=1)[:, ::-1]
+    return np.diagonal(np.minimum.accumulate(tail_max, axis=0)).copy()
+
+
+def minmax_prox_sorted_l1(vector, weights, scale):
+    """Sorted-l1 proximal map with the min-max projection, for any size."""
+    v = np.asarray(vector, dtype=float)
+    magnitudes = np.abs(v)
+    order = np.argsort(-magnitudes, kind="stable")
+    shifted = magnitudes[order] - scale * np.asarray(weights, dtype=float)
+    out = np.empty(v.size)
+    out[order] = np.clip(minmax_isotonic_nonincreasing(shifted), 0.0, None)
+    return np.sign(v) * out
 
 
 def cd_lasso(c_hat, b_hat, lam, sweeps=50000, tol=1e-14):

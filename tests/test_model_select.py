@@ -66,6 +66,10 @@ class TestSplit:
         assert np.array_equal(valid.values, bundle.values[40:])
         recombined = np.concatenate([train.values, valid.values], axis=0)
         assert np.array_equal(recombined, bundle.values)
+        # The halves are read-only views: splitting copies no path.
+        for half in (train, valid):
+            assert np.shares_memory(half.values, bundle.values)
+            assert not half.values.flags.writeable
 
     @pytest.mark.parametrize("bad", [0, 50, 51, -1])
     def test_invalid_split_rejected(self, bad):
@@ -171,6 +175,24 @@ class TestCrossValidate:
         rng = np.random.default_rng(1)
         with pytest.raises(NumericalError, match="lambda"):
             cross_validate(bad, random_spd_stats(rng, 2), CvGrid(-2.0, -1.0, 0.5))
+
+
+    def test_failure_with_two_argument_constructor_keeps_type(self, monkeypatch):
+        class CodedError(Exception):
+            def __init__(self, code, detail):
+                super().__init__(code, detail)
+                self.code = code
+
+        def failing_fit(*args, **kwargs):
+            raise CodedError(7, "no fit")
+
+        monkeypatch.setattr("sparse_ou.model_select.solve_lasso", failing_fit)
+        _, train_stats, valid_stats, _ = _cv_instance(seed=12)
+        with pytest.raises(CodedError, match="lambda=0.1") as caught:
+            cross_validate(train_stats, valid_stats, CvGrid(-2.0, -1.0, 0.5))
+        assert caught.value.code == 7
+        assert isinstance(caught.value.__cause__, CodedError)
+        assert caught.value.__cause__.args == (7, "no fit")
 
 
 class TestReportSerialization:

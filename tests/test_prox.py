@@ -1,9 +1,20 @@
 """Sorted-l1 machinery: weights, norms, and proximal operators."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from oracles import brute_prox_sorted_l1, soft_threshold, sorted_l1_value
+import sparse_ou
+from oracles import (
+    brute_prox_sorted_l1,
+    minmax_prox_sorted_l1,
+    soft_threshold,
+    sorted_l1_value,
+)
 from sparse_ou import (
     WeightVector,
     prox_l1,
@@ -213,3 +224,87 @@ class TestProxSortedL1:
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError):
             prox_sorted_l1(np.array([1.0]), slope_weights(1), -0.5)
+
+
+def _large_p_case(kind, p, rng):
+    """A ``(vector, weights, scale)`` prox input of one named shape."""
+    weights = slope_weights(p)
+    if kind == "random":
+        return rng.normal(size=p) * 2.0, weights, 0.4
+    if kind == "slope":
+        # A sparse signal plus small noise, thresholded between the two.
+        v = rng.normal(size=p) * 0.05
+        support = rng.choice(p, size=max(1, p // 10), replace=False)
+        v[support] += rng.normal(size=support.size) * 2.0
+        return v, weights, 0.1
+    if kind == "below":
+        bound = 0.5 * weights.weights[-1]
+        return rng.uniform(-0.99, 0.99, size=p) * bound, weights, 0.5
+    if kind == "ties":
+        return rng.integers(-4, 5, size=p) * 0.5, weights, 0.3
+    # "cascade": a decreasing run followed by a rising tail. Each pooling
+    # round merges the tail block with one more entry of the run, so
+    # vectorised rounds alone would need one round per entry.
+    tail = p // 5
+    head = p - tail
+    shifted = np.concatenate([-(0.5 / p) * np.arange(head), 0.5 * np.arange(1, tail + 1)])
+    weights = WeightVector(np.arange(p, 0, -1.0))
+    magnitudes = shifted + weights.weights
+    v = rng.permutation(magnitudes * rng.choice([-1.0, 1.0], size=p))
+    return v, weights, 1.0
+
+
+class TestProxSortedL1LargeP:
+    @pytest.mark.parametrize("p", [25, 225, 625])
+    @pytest.mark.parametrize("kind", ["random", "slope", "below", "ties", "cascade"])
+    def test_matches_minmax_oracle(self, kind, p, monkeypatch):
+        stack_calls = []
+        pool_stack = sparse_ou.prox._pool_stack
+
+        def counting_stack(sums, counts):
+            stack_calls.append(sums.size)
+            return pool_stack(sums, counts)
+
+        monkeypatch.setattr(sparse_ou.prox, "_pool_stack", counting_stack)
+        v, weights, scale = _large_p_case(kind, p, np.random.default_rng(p))
+        got = prox_sorted_l1(v, weights, scale)
+        want = minmax_prox_sorted_l1(v, weights.weights, scale)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * p * np.abs(v).max())
+        if kind == "below":
+            assert np.array_equal(got, np.zeros(p))
+        if kind == "slope":
+            assert 0 < np.count_nonzero(got) < p
+        if kind == "cascade":
+            # Far more than the vectorised rounds: the stack finishes.
+            assert stack_calls and stack_calls[0] > 1
+            assert np.unique(np.abs(got)).size == 1
+
+    def test_permuting_tied_entries_is_bit_identical(self):
+        rng = np.random.default_rng(11)
+        v, weights, scale = _large_p_case("ties", 625, rng)
+        base = prox_sorted_l1(v, weights, scale)
+        for _ in range(5):
+            perm = rng.permutation(v.size)
+            assert np.array_equal(prox_sorted_l1(v[perm], weights, scale), base[perm])
+        magnitudes = np.abs(v)
+        for level in np.unique(magnitudes):
+            tied = np.abs(base[magnitudes == level])
+            assert np.all(tied == tied[0])
+
+
+def test_slope_fit_does_not_import_scipy_optimize():
+    # scipy.optimize costs tens of MB and a large share of start-up time;
+    # the sorted-l1 prox must not pull it in.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import sparse_ou\n"
+        "stats = sparse_ou.SuffStats(3, np.eye(3), np.arange(9.0).reshape(3, 3), 10, 1.0, 0.01)\n"
+        "sparse_ou.solve_slope(stats, 0.5)\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(sparse_ou.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
