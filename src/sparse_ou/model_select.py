@@ -128,7 +128,8 @@ def cross_validate(train_stats, valid_stats, grid, penalty="l1", weights=None, c
                 fit = solve_slope(train_stats, lam, weights=weights, config=config, warm_start=warm)
         except Exception as exc:
             # Name the level without calling the constructor, whose signature
-            # is unknown: the same type, the same attributes, chained.
+            # is unknown: the same type and ``__dict__``, chained. Fields kept
+            # in C slots (``OSError.errno``, say) are only on the original.
             named = type(exc).__new__(type(exc), "lambda=%r: %s" % (lam, exc))
             named.__dict__.update(exc.__dict__)
             raise named from exc

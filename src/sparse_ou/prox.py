@@ -60,43 +60,22 @@ def prox_l1(v, threshold):
     return np.sign(values) * np.maximum(np.abs(values) - threshold, 0.0)
 
 
-# Vectorised pooling rounds before the stack finishes the job. Sorted-l1 prox
-# inputs cut to their positive prefix need at most a few rounds; the cap keeps
-# a cascade, where each round pools only one more block, at O(p) Python steps.
-_POOL_ROUNDS = 8
-
-
-def _pool_stack(sums, counts):
-    # Pool adjacent violators with a stack of (sum, count) blocks.
-    out_sums = []
-    out_counts = []
-    for total, size in zip(sums.tolist(), counts.tolist()):
-        # Merge while the accumulated mean would reach the previous block's.
-        while out_sums and total * out_counts[-1] >= out_sums[-1] * size:
-            total += out_sums.pop()
-            size += out_counts.pop()
-        out_sums.append(total)
-        out_counts.append(size)
-    return np.array(out_sums), np.array(out_counts)
-
-
 def _isotonic_nonincreasing(z):
     # Euclidean projection onto the nonincreasing cone: pool adjacent
     # violators, then replace each (sum, count) block by its mean. Each round
     # pools every maximal run of blocks whose means do not decrease; the run
-    # is constant in the projection, so pooling it whole is exact.
+    # is constant in the projection, so pooling it whole is exact. Prox inputs
+    # cut to their positive prefix need at most 4 rounds at d = 5..50. A
+    # cascade, where each round pools only one more block, needs O(p) rounds.
     sums = z
     counts = np.ones(z.size, dtype=np.int64)
-    for _ in range(_POOL_ROUNDS):
+    while True:
         rising = sums[1:] * counts[:-1] >= sums[:-1] * counts[1:]
         if not rising.any():
-            break
+            return np.repeat(sums / counts, counts)
         starts = np.flatnonzero(np.concatenate(([True], ~rising)))
         sums = np.add.reduceat(sums, starts)
         counts = np.add.reduceat(counts, starts)
-    else:
-        sums, counts = _pool_stack(sums, counts)
-    return np.repeat(sums / counts, counts)
 
 
 def prox_sorted_l1(v, weights, scale):
@@ -130,9 +109,12 @@ def prox_sorted_l1(v, weights, scale):
     # it. That top is a peak of the partial sums, so pooling the prefix up to
     # it gives the same result. The last peak, not the first, keeps tied
     # magnitudes on one side of the cut where rounding flattens the sums.
+    # NaN magnitudes sort last and make the tail of ``partial`` NaN, so the
+    # test passes and ``argmax`` picks a NaN: everything is pooled, the NaN
+    # entries stay NaN and the finite ones are pooled as usual.
     partial = np.cumsum(shifted)
     pooled = np.zeros(flat.size)
-    if partial.max() > 0:
+    if not partial.max() <= 0:
         k = flat.size - int(np.argmax(partial[::-1]))
         pooled[:k] = np.maximum(_isotonic_nonincreasing(shifted[:k]), 0.0)
     out = np.empty_like(flat)
