@@ -108,8 +108,6 @@ class ExperimentPlan:
             "solver": {
                 "max_iters": self.solver.max_iters,
                 "rel_tol": self.solver.rel_tol,
-                "step_rule": self.solver.step_rule,
-                "backtracking_factor": self.solver.backtracking_factor,
             },
         }
 
@@ -138,28 +136,42 @@ def plan_from_dict(document):
         if key in document:
             kwargs[key] = float(document[key])
     if "grid" in document:
-        grid = document["grid"]
+        grid = _plan_section(document, "grid", CvGrid, required=True)
         kwargs["grid"] = CvGrid(
             log10_min=float(grid["log10_min"]),
             log10_max=float(grid["log10_max"]),
             log10_step=float(grid["log10_step"]),
         )
     if "initial_law" in document:
-        law = document["initial_law"]
+        law = _plan_section(document, "initial_law", InitialLaw)
         covariance = law.get("covariance")
         kwargs["initial_law"] = InitialLaw(
             kind=law.get("kind", "zero"),
             covariance=None if covariance is None else np.array(covariance, dtype=float),
         )
     if "solver" in document:
-        solver = dict(document["solver"])
+        solver = _plan_section(document, "solver", SolverConfig)
         kwargs["solver"] = SolverConfig(
             max_iters=int(solver.get("max_iters", 5000)),
             rel_tol=float(solver.get("rel_tol", 1e-8)),
-            step_rule=solver.get("step_rule", "fixed_inverse_lipschitz"),
-            backtracking_factor=float(solver.get("backtracking_factor", 0.5)),
         )
     return ExperimentPlan(**kwargs)
+
+
+def _plan_section(document, key, cls, required=False):
+    # A nested plan object may only hold the fields of the dataclass it
+    # builds; with `required`, it must hold all of them.
+    section = document[key]
+    if not isinstance(section, dict):
+        raise ValueError("plan field %s must be a JSON object" % (key,))
+    names = {field.name for field in dataclasses.fields(cls)}
+    unknown = set(section) - names
+    if unknown:
+        raise ValueError("unknown %s fields: %s" % (key, ", ".join(sorted(unknown))))
+    missing = names - set(section) if required else set()
+    if missing:
+        raise ValueError("missing %s fields: %s" % (key, ", ".join(sorted(missing))))
+    return section
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -111,20 +111,15 @@ class InitialLaw:
     """Law of the state at time zero.
 
     ``kind`` is ``"zero"`` (start at the origin) or ``"gaussian"`` (centered
-    Gaussian with the given covariance). ``subgaussian_factor`` is metadata
-    recording the assumed sub-Gaussian proxy constant; it never affects
-    sampling.
+    Gaussian with the given covariance).
     """
 
     kind: str = "zero"
     covariance: np.ndarray = None
-    subgaussian_factor: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("zero", "gaussian"):
             raise ValueError("kind must be 'zero' or 'gaussian', got %r" % (self.kind,))
-        if self.subgaussian_factor <= 0:
-            raise ValueError("subgaussian_factor must be positive")
         if self.kind == "gaussian":
             if self.covariance is None:
                 raise ValueError("gaussian initial law requires a covariance")
@@ -143,9 +138,6 @@ class InitialLaw:
             object.__setattr__(self, "covariance", cov)
         elif self.covariance is not None:
             raise ValueError("zero initial law takes no covariance")
-
-    def dim_or_none(self):
-        return None if self.covariance is None else self.covariance.shape[0]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

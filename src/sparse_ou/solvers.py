@@ -8,9 +8,10 @@ Three estimators share the quadratic loss ``0.5 tr(A c_hat A^T) - <A, b_hat>``:
 
 The penalized problems run accelerated proximal gradient iterations with a
 fixed step ``1/L``, ``L`` the top eigenvalue of ``c_hat`` (the exact
-Lipschitz constant of the gradient), in a monotone variant: whenever the
-accelerated candidate raises the objective the momentum is restarted and a
-plain proximal step from the current iterate is taken instead.
+Lipschitz constant of the gradient), in a variant that is monotone up to
+rounding: whenever the accelerated candidate raises the objective the
+momentum is restarted and a plain proximal step from the current iterate is
+taken instead.
 """
 
 import dataclasses
@@ -22,9 +23,6 @@ import numpy as np
 from .errors import NumericalError
 from .process import DriftMatrix
 from .prox import WeightVector, prox_l1, prox_sorted_l1, slope_weights, sorted_l1_norm
-from .suffstats import SuffStats
-
-_STEP_RULES = ("fixed_inverse_lipschitz", "backtracking")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -38,18 +36,12 @@ class SolverConfig:
 
     max_iters: int = 5000
     rel_tol: float = 1e-8
-    step_rule: str = "fixed_inverse_lipschitz"
-    backtracking_factor: float = 0.5
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if not (0 < self.rel_tol < 1):
             raise ValueError("rel_tol must be in (0, 1)")
-        if self.step_rule not in _STEP_RULES:
-            raise ValueError("step_rule must be one of %r" % (_STEP_RULES,))
-        if not (0 < self.backtracking_factor < 1):
-            raise ValueError("backtracking_factor must be in (0, 1)")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -159,9 +151,6 @@ def _proximal_path(stats, penalty, prox, config, warm_start, lambda_used, penalt
     lipschitz = stats.curvature_bound
     if lipschitz <= 0:
         raise NumericalError("c_hat has zero curvature; the penalized problem is degenerate")
-    # Small inflation guards the power-iteration underestimate of the
-    # largest eigenvalue.
-    smoothness = lipschitz * (1.0 + 1e-6)
     if warm_start is None:
         current = np.zeros((stats.dim, stats.dim))
     else:
@@ -175,31 +164,22 @@ def _proximal_path(stats, penalty, prox, config, warm_start, lambda_used, penalt
     iterations = 0
     converged = False
 
-    def prox_step(point, scale):
-        return prox(point - _gradient(stats, point) / scale, scale)
+    def prox_step(point):
+        return prox(point - _gradient(stats, point) / lipschitz, lipschitz)
 
     for _ in range(config.max_iters):
         iterations += 1
-        if config.step_rule == "backtracking":
-            candidate, smoothness = _backtracking_step(
-                stats, penalty, prox, momentum_point, smoothness, config.backtracking_factor
-            )
-        else:
-            candidate = prox_step(momentum_point, smoothness)
+        candidate = prox_step(momentum_point)
         candidate_value = _objective(stats, candidate, penalty)
         if candidate_value > objective:
             # Momentum overshoot: restart and take a plain step from the
-            # current iterate, which cannot increase the objective when the
-            # step honors the true smoothness bound.
+            # current iterate. With the exact 1/L step it cannot raise the
+            # objective, up to rounding, so it is always accepted; keeping
+            # the current iterate on an ulp-sized rise would stall the path
+            # at the rounding floor.
             momentum = 1.0
-            for _ in range(60):
-                candidate = prox_step(current, smoothness)
-                candidate_value = _objective(stats, candidate, penalty)
-                if candidate_value <= objective:
-                    break
-                smoothness *= 2.0
-            else:
-                candidate, candidate_value = current, objective
+            candidate = prox_step(current)
+            candidate_value = _objective(stats, candidate, penalty)
         momentum_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
         momentum_point = candidate + ((momentum - 1.0) / momentum_next) * (candidate - current)
         previous_value = objective
@@ -208,7 +188,7 @@ def _proximal_path(stats, penalty, prox, config, warm_start, lambda_used, penalt
         history.append(objective)
         decrease = previous_value - objective
         if decrease <= config.rel_tol * max(abs(previous_value), 1e-300):
-            residual = current - prox_step(current, smoothness)
+            residual = current - prox_step(current)
             bound = config.rel_tol * (1.0 + float(np.max(np.abs(current))))
             if float(np.max(np.abs(residual))) <= bound:
                 converged = True
@@ -221,21 +201,6 @@ def _proximal_path(stats, penalty, prox, config, warm_start, lambda_used, penalt
         lambda_used=lambda_used,
         penalty_kind=penalty_kind,
     )
-
-
-def _backtracking_step(stats, penalty, prox, point, smoothness, factor):
-    # Increase the curvature estimate until the quadratic upper model holds.
-    gradient = _gradient(stats, point)
-    base = _objective(stats, point, None)
-    for _ in range(60):
-        candidate = prox(point - gradient / smoothness, smoothness)
-        diff = candidate - point
-        quad = base + float(np.einsum("ij,ij->", gradient, diff))
-        quad += 0.5 * smoothness * float(np.einsum("ij,ij->", diff, diff))
-        if _objective(stats, candidate, None) <= quad + 1e-12 * max(1.0, abs(quad)):
-            return candidate, smoothness
-        smoothness /= factor
-    return candidate, smoothness
 
 
 def solve_lasso(stats, lam, config=None, warm_start=None):

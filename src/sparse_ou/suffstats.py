@@ -18,8 +18,6 @@ import json
 
 import numpy as np
 
-from .process import path_stream
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class SuffStats:
@@ -58,8 +56,8 @@ class SuffStats:
 
     @functools.cached_property
     def curvature_bound(self):
-        """Largest eigenvalue of ``c_hat`` (cached power iteration)."""
-        return _power_iteration_top(self.c_hat)
+        """Largest eigenvalue of ``c_hat`` (cached)."""
+        return float(np.linalg.eigvalsh(self.c_hat)[-1])
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -91,26 +89,6 @@ def compute_suffstats(paths):
     b_hat = np.einsum("nkd,nke->de", increments, left) / paths.n_paths
     c_hat = 0.5 * (c_hat + c_hat.T)
     return SuffStats(paths.dim, c_hat, b_hat, paths.n_paths, paths.terminal, paths.step)
-
-
-def _power_iteration_top(matrix, rel_tol=1e-8):
-    # Top eigenvalue of a symmetric PSD matrix by power iteration from a
-    # fixed seeded start vector; at most 10 * dim iterations.
-    dim = matrix.shape[0]
-    vec = path_stream(0x5EED0F00D, 0).standard_normal(dim)
-    norm = np.linalg.norm(vec)
-    vec /= norm
-    estimate = 0.0
-    for _ in range(10 * dim):
-        image = matrix @ vec
-        norm = np.linalg.norm(image)
-        if norm == 0.0:
-            return 0.0
-        vec = image / norm
-        previous, estimate = estimate, float(vec @ (matrix @ vec))
-        if abs(estimate - previous) <= rel_tol * max(abs(estimate), 1e-300):
-            break
-    return estimate
 
 
 def loss(stats, candidate):

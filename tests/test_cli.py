@@ -270,6 +270,12 @@ class TestReproduce:
         rc = main(["reproduce", "--plan", plan, "--out-dir", str(tmp_path / "s")])
         assert rc == 2
 
+    def test_partial_grid_rejected(self, tmp_path, capsys):
+        plan = _write_config(tmp_path, "plan.json", {"grid": {"log10_min": -3}})
+        rc = main(["reproduce", "--plan", plan, "--out-dir", str(tmp_path / "s")])
+        assert rc == 2
+        assert "invalid plan: missing grid fields" in capsys.readouterr().err
+
     def test_unwritable_out_dir(self, tmp_path):
         blocker = tmp_path / "occupied"
         blocker.write_text("a file, not a directory")
@@ -387,10 +393,15 @@ class TestTheory:
 
 class TestEntryPoint:
     def test_version_via_subprocess(self):
+        import sparse_ou
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(sparse_ou.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-c", "from sparse_ou.cli import entry; entry()", "--version"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "sparse-ou" in proc.stdout

@@ -264,6 +264,16 @@ class TestPlanParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             plan_from_dict({"dimension_list": [5]})
+        with pytest.raises(ValueError, match="unknown solver fields: max_itres"):
+            plan_from_dict({"solver": {"max_itres": 10}})
+        for removed in ("step_rule", "backtracking_factor"):
+            with pytest.raises(ValueError, match="unknown solver fields: %s" % removed):
+                plan_from_dict({"solver": {removed: "backtracking"}})
+        with pytest.raises(ValueError, match="unknown initial_law fields: subgaussian_factor"):
+            plan_from_dict({"initial_law": {"kind": "zero", "subgaussian_factor": 2.0}})
+        with pytest.raises(ValueError, match="unknown grid fields: log10_stride"):
+            plan_from_dict({"grid": {"log10_min": -3, "log10_max": 0, "log10_step": 0.5,
+                                     "log10_stride": 0.5}})
 
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
@@ -272,6 +282,10 @@ class TestPlanParsing:
             plan_from_dict({"n_paths": 10, "n_train": 10})
         with pytest.raises(ValueError):
             ExperimentPlan(dims=())
+        with pytest.raises(ValueError, match="missing grid fields: log10_max, log10_step"):
+            plan_from_dict({"grid": {"log10_min": -3}})
+        with pytest.raises(ValueError, match="solver must be a JSON object"):
+            plan_from_dict({"solver": [5000]})
 
     def test_gaussian_initial_law_parsed(self):
         document = {"initial_law": {"kind": "gaussian", "covariance": [[2.0]]}}

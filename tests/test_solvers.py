@@ -7,20 +7,25 @@ from oracles import cd_lasso, lasso_objective, random_spd_stats
 from sparse_ou import (
     DriftMatrix,
     EstimatorResult,
+    ExperimentPlan,
     InitialLaw,
     NumericalError,
     SolverConfig,
     SuffStats,
     WeightVector,
     compute_suffstats,
+    generate_drift,
     loss,
+    mix_seed,
     result_from_json,
     result_to_json,
+    simulate_euler,
     simulate_exact,
     slope_weights,
     solve_lasso,
     solve_mle,
     solve_slope,
+    split_paths,
 )
 
 
@@ -240,19 +245,26 @@ class TestConfigAndResult:
             SolverConfig(max_iters=0)
         with pytest.raises(ValueError):
             SolverConfig(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(step_rule="newton")
-        with pytest.raises(ValueError):
-            SolverConfig(backtracking_factor=1.5)
 
-    def test_backtracking_rule_agrees(self):
-        rng = np.random.default_rng(16)
-        stats = random_spd_stats(rng, 4)
-        fixed = solve_lasso(stats, 0.1)
-        config = SolverConfig(step_rule="backtracking")
-        tracked = solve_lasso(stats, 0.1, config=config)
-        assert np.allclose(fixed.estimate.entries, tracked.estimate.entries, atol=1e-6)
-        assert tracked.converged
+    @pytest.mark.parametrize(
+        "solve, dim, replicate, log10_lam",
+        [(solve_slope, 7, 0, -2.25), (solve_lasso, 8, 1, -1.75)],
+        ids=["slope", "lasso"],
+    )
+    def test_restart_at_rounding_floor_converges(self, solve, dim, replicate, log10_lam):
+        # Benchmark cells where, near the optimum, the plain restart step
+        # raises the objective by rounding. The step must still be taken:
+        # keeping the current iterate instead stalls at `max_iters`.
+        plan = ExperimentPlan(master_seed=20260817)
+        drift = generate_drift(dim, plan, mix_seed(plan.master_seed, 1, dim))
+        paths = simulate_euler(
+            drift, plan.initial_law, plan.n_paths, plan.terminal, plan.step,
+            mix_seed(plan.master_seed, 2, dim, replicate),
+        )
+        train, _ = split_paths(paths, plan.n_train)
+        result = solve(compute_suffstats(train), 10.0 ** log10_lam)
+        assert result.converged
+        assert result.iterations < 100
 
     def test_iteration_cap_reported(self):
         rng = np.random.default_rng(17)
