@@ -23,10 +23,12 @@ from .errors import NumericalError, UnsupportedInputError
 from .experiments import (
     ExperimentPlan,
     export_figure_data,
+    from_plain,
     generate_drift,
     plan_from_dict,
     run_experiment,
     summarize,
+    to_plain,
 )
 from .model_select import CvGrid, cross_validate, report_to_csv, report_to_json, split_paths
 from .process import (
@@ -113,10 +115,20 @@ def _resolve_threads(args):
     return os.cpu_count() or 1
 
 
+_SCHEME_FIELDS = ("diag_low", "diag_high", "offdiag_zero_prob", "offdiag_low", "offdiag_high")
+
+
+def _check_fields(document, allowed, where):
+    if not isinstance(document, dict):
+        raise CliError(2, "%s must be an object" % (where,))
+    unknown = sorted(set(document) - set(allowed))
+    if unknown:
+        raise CliError(2, "unknown fields in %s: %s" % (where, ", ".join(unknown)))
+
+
 def _drift_from_config(config, path):
     drift_config = _require(config, "drift", path)
-    if not isinstance(drift_config, dict):
-        raise CliError(2, "field 'drift' in %s must be an object" % (path,))
+    _check_fields(drift_config, ("matrix", "generator"), "'drift' of " + path)
     if "matrix" in drift_config:
         entries = np.array(drift_config["matrix"], dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
@@ -124,30 +136,23 @@ def _drift_from_config(config, path):
         return DriftMatrix(entries.shape[0], entries)
     if "generator" in drift_config:
         generator = drift_config["generator"]
+        _check_fields(generator, ("dim", "seed") + _SCHEME_FIELDS,
+                      "'drift.generator' of " + path)
         dim = int(_require(generator, "dim", path + " (drift.generator)"))
         seed = int(_require(generator, "seed", path + " (drift.generator)"))
-        scheme_keys = ("diag_low", "diag_high", "offdiag_zero_prob", "offdiag_low", "offdiag_high")
-        overrides = {key: float(generator[key]) for key in scheme_keys if key in generator}
+        overrides = {key: float(generator[key]) for key in _SCHEME_FIELDS if key in generator}
         plan = ExperimentPlan(dims=(max(dim, 2),), **overrides)
         return generate_drift(dim, plan, seed)
     raise CliError(2, "field 'drift' in %s needs either 'matrix' or 'generator'" % (path,))
 
 
-def _law_from_config(config):
-    law_config = config.get("law", {"kind": "zero"})
-    kind = law_config.get("kind", "zero")
-    covariance = law_config.get("covariance")
-    return InitialLaw(
-        kind=kind,
-        covariance=None if covariance is None else np.array(covariance, dtype=float),
-    )
-
-
 def cmd_simulate(args):
     started = _now()
     config = _load_json(args.config)
+    _check_fields(config, ("drift", "law", "n_paths", "terminal", "step", "seed", "method"),
+                  args.config)
     drift = _drift_from_config(config, args.config)
-    law = _law_from_config(config)
+    law = from_plain(InitialLaw, config.get("law", {}), "law")
     n_paths = int(_require(config, "n_paths", args.config))
     terminal = float(_require(config, "terminal", args.config))
     step = float(_require(config, "step", args.config))
@@ -300,19 +305,15 @@ def cmd_theory(args):
 
     if args.operation == "cinfty":
         drift = _theory_drift(config, "drift", args.config)
-        sigma = config.get("sigma")
-        quantities = compute_c_infty(
-            drift,
-            sigma=None if sigma is None else np.array(sigma, dtype=float),
-            terminal=float(config.get("terminal", 1.0)),
-        )
+        quantities = compute_c_infty(drift, sigma=config.get("sigma"),
+                                     terminal=float(config.get("terminal", 1.0)))
         _write_json(quantities.to_dict(), args.out)
         print("c_infty[0,0] = %r" % (float(quantities.c_infty[0, 0]),))
         print("kappa_min = %r, kappa_max = %r, kappa_star = %r"
               % (quantities.kappa_min, quantities.kappa_max, quantities.kappa_star))
     elif args.operation == "concentration":
         drift = _theory_drift(config, "drift", args.config)
-        law = _law_from_config(config)
+        law = from_plain(InitialLaw, config.get("law", {}), "law")
         points = check_concentration(
             drift,
             law,
@@ -323,20 +324,13 @@ def cmd_theory(args):
             step=float(config.get("step", 0.01)),
             sampler=config.get("sampler", "exact"),
         )
-        _write_json(
-            [
-                {"n_paths": p.n_paths, "mean_deviation": p.mean_deviation,
-                 "sandwich_frequency": p.sandwich_frequency}
-                for p in points
-            ],
-            args.out,
-        )
+        rows = to_plain(points)
+        _write_json(rows, args.out)
         csv_path = args.out + ".csv"
         with open(csv_path, "w", encoding="ascii", newline="\n") as handle:
-            handle.write("n_paths,mean_deviation,sandwich_frequency\n")
-            for p in points:
-                handle.write("%d,%s,%s\n"
-                             % (p.n_paths, repr(p.mean_deviation), repr(p.sandwich_frequency)))
+            handle.write(",".join(rows[0]) + "\n")
+            for row in rows:
+                handle.write(",".join(repr(value) for value in row.values()) + "\n")
         outputs.append(csv_path)
         for p in points:
             print("N=%d mean operator deviation %r sandwich frequency %r"

@@ -63,10 +63,13 @@ class ExperimentPlan:
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 2 for d in dims):
+        if not dims or any(d < 2 for d in dims) or dims != tuple(self.dims):
             raise ValueError("dims must be a nonempty collection of integers >= 2")
+        heatmap_dims = tuple(int(d) for d in self.heatmap_dims)
+        if heatmap_dims != tuple(self.heatmap_dims):
+            raise ValueError("heatmap_dims must be integers")
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "heatmap_dims", tuple(int(d) for d in self.heatmap_dims))
+        object.__setattr__(self, "heatmap_dims", heatmap_dims)
         if self.replicates < 1:
             raise ValueError("replicates must be positive")
         if not (1 <= self.n_train < self.n_paths):
@@ -79,99 +82,66 @@ class ExperimentPlan:
             raise ValueError("support_threshold must be positive")
 
     def to_dict(self):
-        return {
-            "dims": list(self.dims),
-            "replicates": self.replicates,
-            "n_paths": self.n_paths,
-            "n_train": self.n_train,
-            "terminal": self.terminal,
-            "step": self.step,
-            "master_seed": self.master_seed,
-            "grid": {
-                "log10_min": self.grid.log10_min,
-                "log10_max": self.grid.log10_max,
-                "log10_step": self.grid.log10_step,
-            },
-            "diag_low": self.diag_low,
-            "diag_high": self.diag_high,
-            "offdiag_zero_prob": self.offdiag_zero_prob,
-            "offdiag_low": self.offdiag_low,
-            "offdiag_high": self.offdiag_high,
-            "heatmap_dims": list(self.heatmap_dims),
-            "initial_law": {
-                "kind": self.initial_law.kind,
-                "covariance": None
-                if self.initial_law.covariance is None
-                else [[float(v) for v in row] for row in self.initial_law.covariance],
-            },
-            "support_threshold": self.support_threshold,
-            "solver": {
-                "max_iters": self.solver.max_iters,
-                "rel_tol": self.solver.rel_tol,
-            },
-        }
+        return to_plain(self)
+
+
+def to_plain(value):
+    """JSON-ready copy: a dataclass maps to a dict by field, tuples and arrays to lists."""
+    if dataclasses.is_dataclass(value):
+        return {field.name: to_plain(getattr(value, field.name))
+                for field in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [to_plain(item) for item in value]
+    return value
+
+
+def from_plain(cls, document, name):
+    """Build the dataclass ``cls`` from a JSON object named ``name`` in errors.
+
+    Keys must be fields of ``cls``, and every field without a default must
+    be present. Each value is read by its field's type: a nested dataclass
+    through this same reader, a tuple from a JSON array, an array from
+    nested lists (or null), an int from an integral number (``10.0`` is
+    accepted) and a float from any number; strings and booleans are
+    rejected where a number is expected.
+    """
+    if not isinstance(document, dict):
+        raise ValueError("%s must be a JSON object" % (name,))
+    fields = {field.name: field for field in dataclasses.fields(cls)}
+    unknown = set(document) - set(fields)
+    if unknown:
+        raise ValueError("unknown %s fields: %s" % (name, ", ".join(sorted(unknown))))
+    missing = [key for key, field in fields.items()
+               if key not in document and field.default is dataclasses.MISSING]
+    if missing:
+        raise ValueError("missing %s fields: %s" % (name, ", ".join(missing)))
+    return cls(**{key: _read_value(fields[key].type, value, key)
+                  for key, value in document.items()})
+
+
+def _read_value(kind, value, key):
+    if dataclasses.is_dataclass(kind):
+        return from_plain(kind, value, key)
+    if kind is tuple:
+        if not isinstance(value, list):
+            raise ValueError("%s must be a JSON array, got %r" % (key, value))
+        return tuple(value)
+    if kind is np.ndarray:
+        return None if value is None else np.array(value, dtype=float)
+    if kind in (int, float):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError("%s must be a number, got %r" % (key, value))
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError("%s must be an integer, got %r" % (key, value))
+        return kind(value)
+    return value
 
 
 def plan_from_dict(document):
     """Build a plan from a JSON-style dict, filling defaults for missing keys."""
-    if not isinstance(document, dict):
-        raise ValueError("plan must be a JSON object")
-    known = {
-        "dims", "replicates", "n_paths", "n_train", "terminal", "step", "master_seed",
-        "grid", "diag_low", "diag_high", "offdiag_zero_prob", "offdiag_low",
-        "offdiag_high", "heatmap_dims", "initial_law", "support_threshold", "solver",
-    }
-    unknown = set(document) - known
-    if unknown:
-        raise ValueError("unknown plan fields: %s" % (", ".join(sorted(unknown)),))
-    kwargs = {}
-    for key in ("dims", "heatmap_dims"):
-        if key in document:
-            kwargs[key] = tuple(document[key])
-    for key in ("replicates", "n_paths", "n_train", "master_seed"):
-        if key in document:
-            kwargs[key] = int(document[key])
-    for key in ("terminal", "step", "diag_low", "diag_high", "offdiag_zero_prob",
-                "offdiag_low", "offdiag_high", "support_threshold"):
-        if key in document:
-            kwargs[key] = float(document[key])
-    if "grid" in document:
-        grid = _plan_section(document, "grid", CvGrid, required=True)
-        kwargs["grid"] = CvGrid(
-            log10_min=float(grid["log10_min"]),
-            log10_max=float(grid["log10_max"]),
-            log10_step=float(grid["log10_step"]),
-        )
-    if "initial_law" in document:
-        law = _plan_section(document, "initial_law", InitialLaw)
-        covariance = law.get("covariance")
-        kwargs["initial_law"] = InitialLaw(
-            kind=law.get("kind", "zero"),
-            covariance=None if covariance is None else np.array(covariance, dtype=float),
-        )
-    if "solver" in document:
-        solver = _plan_section(document, "solver", SolverConfig)
-        kwargs["solver"] = SolverConfig(
-            max_iters=int(solver.get("max_iters", 5000)),
-            rel_tol=float(solver.get("rel_tol", 1e-8)),
-        )
-    return ExperimentPlan(**kwargs)
-
-
-def _plan_section(document, key, cls, required=False):
-    # A nested plan object may only hold the fields of the dataclass it
-    # builds; with `required`, it must hold all of them.
-    section = document[key]
-    if not isinstance(section, dict):
-        raise ValueError("plan field %s must be a JSON object" % (key,))
-    names = {field.name for field in dataclasses.fields(cls)}
-    unknown = set(section) - names
-    if unknown:
-        raise ValueError("unknown %s fields: %s" % (key, ", ".join(sorted(unknown))))
-    missing = names - set(section) if required else set()
-    if missing:
-        raise ValueError("missing %s fields: %s" % (key, ", ".join(sorted(missing))))
-    return section
+    return from_plain(ExperimentPlan, document, "plan")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -267,14 +237,16 @@ def _failed_row(dim, replicate, name, runtime, exc):
     )
 
 
+def holdout_stats(drift, plan, n_paths, n_train, seed):
+    """Statistics of the first ``n_train`` of ``n_paths`` Euler paths and of the rest."""
+    paths = simulate_euler(drift, plan.initial_law, n_paths, plan.terminal, plan.step, seed)
+    train, valid = split_paths(paths, n_train)
+    return compute_suffstats(train), compute_suffstats(valid)
+
+
 def _run_cell(plan, drift, dim, replicate):
-    paths = simulate_euler(
-        drift, plan.initial_law, plan.n_paths, plan.terminal, plan.step,
-        mix_seed(plan.master_seed, 2, dim, replicate),
-    )
-    train, valid = split_paths(paths, plan.n_train)
-    train_stats = compute_suffstats(train)
-    valid_stats = compute_suffstats(valid)
+    train_stats, valid_stats = holdout_stats(drift, plan, plan.n_paths, plan.n_train,
+                                             mix_seed(plan.master_seed, 2, dim, replicate))
     rows = []
     estimates = {"truth": drift.entries}
     for name in _ESTIMATORS:
@@ -372,6 +344,12 @@ def _write_matrix_csv(matrix, path):
             handle.write("\n")
 
 
+def _ok_values(report, dim, estimator, metric):
+    # One metric over the successful replicates of one (dimension, estimator).
+    return [getattr(row, metric) for row in report.rows
+            if row.dim == dim and row.estimator == estimator and row.status == "ok"]
+
+
 def export_figure_data(report, out_dir):
     """Write benchmark CSVs under ``out_dir`` and return the file list.
 
@@ -405,11 +383,7 @@ def export_figure_data(report, out_dir):
             with open(path, "w", encoding="ascii", newline="\n") as handle:
                 handle.write("d,mean,std\n")
                 for dim in report.plan.dims:
-                    values = [
-                        getattr(row, metric)
-                        for row in report.rows
-                        if row.dim == dim and row.estimator == estimator and row.status == "ok"
-                    ]
+                    values = _ok_values(report, dim, estimator, metric)
                     if values:
                         mean = float(np.mean(values))
                         std = float(np.std(values))
@@ -437,11 +411,7 @@ def summarize(report):
         cells = []
         for metric in ("scaled_l2sq", "scaled_l1"):
             for estimator in _ESTIMATORS:
-                values = [
-                    getattr(row, metric)
-                    for row in report.rows
-                    if row.dim == dim and row.estimator == estimator and row.status == "ok"
-                ]
+                values = _ok_values(report, dim, estimator, metric)
                 cells.append(np.mean(values) if values else float("nan"))
         lines.append(
             "%3d   %10.5f   %10.5f   %10.5f   %10.5f   %10.5f   %10.5f"

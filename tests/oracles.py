@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is a second route to the same quantity: plain Taylor series
-for the matrix exponential, exhaustive enumeration and a min-max formula for
-the sorted-l1 proximal map, cyclic coordinate descent for the l1 problem, a
+for the matrix exponential, Lyapunov equations for the integrated second
+moment, exhaustive enumeration and a min-max formula for the sorted-l1
+proximal map, cyclic coordinate descent for the l1 problem, a
 discretized log likelihood ratio for path-law divergences, and small random
 problem factories. None of it reuses package internals beyond public data
 types.
@@ -11,6 +12,7 @@ types.
 import itertools
 
 import numpy as np
+from scipy.linalg import solve_continuous_lyapunov
 
 from sparse_ou import SuffStats
 
@@ -24,6 +26,24 @@ def taylor_expm(matrix, terms=80):
         term = term @ m / k
         result = result + term
     return result
+
+
+def lyapunov_c_infty(a, sigma, terminal):
+    """Integrated second moment from the Lyapunov identity, for stable ``a``.
+
+    With ``F = e^{TA}`` and ``G(T) = int_0^T e^{sA} e^{sA^T} ds``,
+    integrating ``d/ds [e^{sA} (Sigma + (T - s) I) e^{sA^T}]`` over
+    ``[0, T]`` gives ``A C + C A^T = F Sigma F^T - Sigma + G(T) - T I``, and
+    ``G`` itself solves ``A G + G A^T = F F^T - I``. Both equations have
+    unique solutions when no two eigenvalues of ``a`` sum to zero. ``F``
+    comes from the Taylor series, so keep ``T ||a||`` small.
+    """
+    a = np.asarray(a, dtype=float)
+    eye = np.eye(a.shape[0])
+    flow = taylor_expm(terminal * a)
+    gram = solve_continuous_lyapunov(a, flow @ flow.T - eye)
+    rhs = flow @ sigma @ flow.T - sigma + gram - terminal * eye
+    return solve_continuous_lyapunov(a, rhs)
 
 
 def soft_threshold(values, level):

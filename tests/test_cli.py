@@ -95,6 +95,23 @@ class TestSimulate:
         rc = main(["simulate", "--config", config, "--out", str(tmp_path / "x.bin")])
         assert rc == 2
 
+    @pytest.mark.parametrize("edit, name", [
+        (lambda doc: doc.update(methd="exact"), "methd"),
+        (lambda doc: doc["drift"].update(matirx=[[-1.0]]), "matirx"),
+        (lambda doc: doc.update(drift={"generator": {"dim": 3, "seed": 1, "diag_lo": -2.0}}),
+         "diag_lo"),
+        (lambda doc: doc.update(law={"kind": "zero", "subgaussian_factor": 2.0}),
+         "subgaussian_factor"),
+    ], ids=["top", "drift", "generator", "law"])
+    def test_unknown_field_rejected(self, tmp_path, capsys, edit, name):
+        document = _simulate_config()
+        edit(document)
+        config = _write_config(tmp_path, "sim.json", document)
+        rc = main(["simulate", "--config", config, "--out", str(tmp_path / "x.bin")])
+        assert rc == 2
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "x.bin").exists()
+
     def test_reruns_byte_identical(self, tmp_path):
         config = _write_config(tmp_path, "sim.json", _simulate_config())
         first = str(tmp_path / "a.bin")

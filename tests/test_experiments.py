@@ -254,12 +254,18 @@ class TestPlanParsing:
 
     def test_round_trip(self):
         plan = _tiny_plan()
-        clone = plan_from_dict(plan.to_dict())
+        document = plan.to_dict()
+        clone = plan_from_dict(document)
         assert clone.dims == plan.dims
         assert clone.replicates == plan.replicates
         assert clone.grid.log10_min == plan.grid.log10_min
         assert clone.solver.rel_tol == plan.solver.rel_tol
         assert clone.initial_law.kind == plan.initial_law.kind
+        assert clone.to_dict() == document
+        assert document["dims"] == [3, 4]
+        assert document["grid"] == {"log10_min": -3.0, "log10_max": 0.0, "log10_step": 0.25}
+        assert document["initial_law"] == {"kind": "zero", "covariance": None}
+        assert document["solver"] == {"max_iters": 5000, "rel_tol": 1e-8}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -286,6 +292,28 @@ class TestPlanParsing:
             plan_from_dict({"grid": {"log10_min": -3}})
         with pytest.raises(ValueError, match="solver must be a JSON object"):
             plan_from_dict({"solver": [5000]})
+        # No silent coercion: a string is not a list of dims, a fraction or a
+        # boolean is not a count or a seed, a string is not a number.
+        for document, message in (
+            ({"dims": "25"}, "dims must be a JSON array"),
+            ({"heatmap_dims": 15}, "heatmap_dims must be a JSON array"),
+            ({"dims": [2.5, 3]}, "dims must be a nonempty collection of integers"),
+            ({"heatmap_dims": ["15"]}, "heatmap_dims must be integers"),
+            ({"replicates": 2.7}, "replicates must be an integer"),
+            ({"master_seed": True}, "master_seed must be a number"),
+            ({"terminal": "1.0"}, "terminal must be a number"),
+            ({"step": False}, "step must be a number"),
+            ({"solver": {"max_iters": "5000"}}, "max_iters must be a number"),
+            ({"grid": {"log10_min": -3, "log10_max": 0, "log10_step": None}},
+             "log10_step must be a number"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                plan_from_dict(document)
+
+    def test_integral_float_accepted_as_int(self):
+        plan = plan_from_dict({"replicates": 10.0, "solver": {"max_iters": 200.0}})
+        assert plan.replicates == 10 and isinstance(plan.replicates, int)
+        assert plan.solver.max_iters == 200 and isinstance(plan.solver.max_iters, int)
 
     def test_gaussian_initial_law_parsed(self):
         document = {"initial_law": {"kind": "gaussian", "covariance": [[2.0]]}}

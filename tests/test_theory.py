@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.linalg import expm
 
-from oracles import stable_random_drift
+from oracles import lyapunov_c_infty, stable_random_drift
 from sparse_ou import (
     DriftMatrix,
     ExperimentPlan,
     InitialLaw,
+    NumericalError,
     UnsupportedInputError,
     check_concentration,
     compute_c_infty,
@@ -63,6 +65,47 @@ class TestCInfty:
 
         total, _ = integrate.quad_vec(lambda t: integrand(t).ravel(), 0.0, 1.0, epsabs=1e-11)
         assert np.allclose(value, total.reshape(3, 3), atol=1e-7)
+
+    def test_lyapunov_identity_on_random_drifts(self):
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            dim = int(rng.integers(2, 8))
+            entries = stable_random_drift(rng, dim)
+            root = rng.normal(size=(dim, dim))
+            sigma = root @ root.T / dim
+            terminal = float(rng.uniform(0.5, 1.5))
+            value = compute_c_infty(DriftMatrix(dim, entries), sigma=sigma,
+                                    terminal=terminal).c_infty
+            expected = lyapunov_c_infty(entries, sigma, terminal)
+            assert np.linalg.norm(value - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_stiff_scalar_closed_form(self):
+        # A = -20 over T = 10: C = T / (2a) - (1 - e^{-2aT}) / (4a^2) with a = 20.
+        value = compute_c_infty(DriftMatrix(1, np.array([[-20.0]])), terminal=10.0)
+        expected = 10.0 / 40.0 - (1.0 - math.exp(-400.0)) / 1600.0
+        assert value.c_infty[0, 0] == pytest.approx(expected, rel=1e-12)
+
+    def test_stiff_non_normal_against_quadrature(self):
+        # Eigenvalues -10..-2 on a triangular core with unit-scale coupling,
+        # rotated, over T = 5: e^{-TA} grows like e^{50}, so any form that
+        # multiplies it back by e^{TA} loses every digit.
+        rng = np.random.default_rng(7)
+        core = np.triu(rng.normal(size=(5, 5)), k=1) + np.diag(np.linspace(-10.0, -2.0, 5))
+        basis, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+        entries = basis @ core @ basis.T
+        value = compute_c_infty(DriftMatrix(5, entries), terminal=5.0).c_infty
+
+        def integrand(s):
+            flow = expm(s * entries)
+            return (5.0 - s) * (flow @ flow.T).ravel()
+
+        total, _ = integrate.quad_vec(integrand, 0.0, 5.0, epsabs=0.0, epsrel=1e-14, limit=2000)
+        expected = total.reshape(5, 5)
+        assert np.linalg.norm(value - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_overflow_raises(self):
+        with pytest.raises(NumericalError):
+            compute_c_infty(DriftMatrix(1, np.array([[400.0]])), terminal=2.0)
 
     def test_spectral_summaries(self):
         rng = np.random.default_rng(1)
