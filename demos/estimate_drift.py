@@ -10,12 +10,11 @@ penalty level chosen on a hold-out split.
 import numpy as np
 
 from sparse_ou import InitialLaw, compute_suffstats, simulate_exact, solve_mle
-from sparse_ou.experiments import ExperimentPlan, generate_drift, support_f1
+from sparse_ou.experiments import DriftScheme, generate_drift, support_f1
 from sparse_ou.model_select import CvGrid, cross_validate, split_paths
 
 dim = 10
-plan = ExperimentPlan()
-truth = generate_drift(dim, plan, seed=21)
+truth = generate_drift(dim, DriftScheme(), seed=21)
 nonzeros = int(np.count_nonzero(truth.entries))
 print("true drift: %d of %d entries nonzero" % (nonzeros, dim * dim))
 

@@ -8,8 +8,8 @@ produces. The full study is one command:
 
     sparse-ou reproduce --out-dir study/
 
-and takes on the order of an hour on a laptop; this miniature finishes
-in seconds.
+and took 16.5 s with ``--threads 2`` on a 2-CPU host; this miniature
+finishes in a few seconds.
 """
 
 import os

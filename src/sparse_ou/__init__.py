@@ -54,6 +54,7 @@ from .model_select import (
     split_paths,
 )
 from .experiments import (
+    DriftScheme,
     ExperimentPlan,
     ExperimentReport,
     ExperimentRow,
@@ -120,6 +121,7 @@ __all__ = [
     "report_to_csv",
     "report_to_json",
     "split_paths",
+    "DriftScheme",
     "ExperimentPlan",
     "ExperimentReport",
     "ExperimentRow",

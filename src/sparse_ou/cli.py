@@ -16,31 +16,23 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .errors import NumericalError, UnsupportedInputError
 from .experiments import (
-    ExperimentPlan,
     export_figure_data,
-    from_plain,
     generate_drift,
     plan_from_dict,
+    read_arguments,
+    read_value,
     run_experiment,
     summarize,
     to_plain,
 )
-from .model_select import CvGrid, cross_validate, report_to_csv, report_to_json, split_paths
+from .model_select import CvGrid, cross_validate, report_to_csv, split_paths
 from .process import (
-    DriftMatrix,
-    InitialLaw,
-    bundle_to_csv,
-    load_bundle,
-    save_bundle,
-    simulate_euler,
-    simulate_exact,
+    DriftMatrix, bundle_to_csv, load_bundle, save_bundle, simulate_euler, simulate_exact,
 )
-from .solvers import result_to_json, solve_lasso, solve_mle, solve_slope
+from .solvers import solve_lasso, solve_mle, solve_slope
 from .suffstats import compute_suffstats
 from .theory import check_concentration, compute_c_infty, kl_between, rate_sweep
 
@@ -64,17 +56,14 @@ def _load_json(path):
     except OSError as exc:
         raise CliError(3, "cannot read %s: %s" % (path, exc))
     try:
-        return json.loads(text)
+        document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(
             2, "config error in %s at line %d column %d: %s" % (path, exc.lineno, exc.colno, exc.msg)
         )
-
-
-def _require(config, field, path):
-    if field not in config:
-        raise CliError(2, "missing required field '%s' in %s" % (field, path))
-    return config[field]
+    if not isinstance(document, dict):
+        raise CliError(2, "config error in %s: expected a JSON object" % (path,))
+    return document
 
 
 def _write_json(document, path):
@@ -115,61 +104,36 @@ def _resolve_threads(args):
     return os.cpu_count() or 1
 
 
-_SCHEME_FIELDS = ("diag_low", "diag_high", "offdiag_zero_prob", "offdiag_low", "offdiag_high")
-
-
-def _check_fields(document, allowed, where):
-    if not isinstance(document, dict):
-        raise CliError(2, "%s must be an object" % (where,))
-    unknown = sorted(set(document) - set(allowed))
-    if unknown:
-        raise CliError(2, "unknown fields in %s: %s" % (where, ", ".join(unknown)))
-
-
-def _drift_from_config(config, path):
-    drift_config = _require(config, "drift", path)
-    _check_fields(drift_config, ("matrix", "generator"), "'drift' of " + path)
-    if "matrix" in drift_config:
-        entries = np.array(drift_config["matrix"], dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise CliError(2, "field 'drift.matrix' in %s must be square" % (path,))
-        return DriftMatrix(entries.shape[0], entries)
-    if "generator" in drift_config:
-        generator = drift_config["generator"]
-        _check_fields(generator, ("dim", "seed") + _SCHEME_FIELDS,
-                      "'drift.generator' of " + path)
-        dim = int(_require(generator, "dim", path + " (drift.generator)"))
-        seed = int(_require(generator, "seed", path + " (drift.generator)"))
-        overrides = {key: float(generator[key]) for key in _SCHEME_FIELDS if key in generator}
-        plan = ExperimentPlan(dims=(max(dim, 2),), **overrides)
-        return generate_drift(dim, plan, seed)
-    raise CliError(2, "field 'drift' in %s needs either 'matrix' or 'generator'" % (path,))
+def _read_drift(document):
+    # The ``drift`` of a simulate config: ``{"matrix": [[...]]}`` or
+    # ``{"generator": {"dim": ..., "seed": ..., "scheme": {...}}}``.
+    if isinstance(document, dict) and list(document) == ["matrix"]:
+        return read_value(DriftMatrix, document["matrix"], "drift.matrix")
+    if isinstance(document, dict) and list(document) == ["generator"]:
+        generator = document["generator"]
+        if isinstance(generator, dict):
+            generator = {"scheme": {}, **generator}
+        return generate_drift(**read_arguments(generate_drift, generator, "drift.generator"))
+    fields = sorted(document) if isinstance(document, dict) else document
+    raise ValueError("drift must hold exactly one of matrix, generator, got %r" % (fields,))
 
 
 def cmd_simulate(args):
     started = _now()
-    config = _load_json(args.config)
-    _check_fields(config, ("drift", "law", "n_paths", "terminal", "step", "seed", "method"),
-                  args.config)
-    drift = _drift_from_config(config, args.config)
-    law = from_plain(InitialLaw, config.get("law", {}), "law")
-    n_paths = int(_require(config, "n_paths", args.config))
-    terminal = float(_require(config, "terminal", args.config))
-    step = float(_require(config, "step", args.config))
-    seed = int(_require(config, "seed", args.config))
-    method = config.get("method", "euler")
+    config = {"law": {}, "method": "euler", **_load_json(args.config)}
+    document = dict(config)
+    method = document.pop("method")
     if method not in ("euler", "exact"):
         raise CliError(2, "field 'method' in %s must be 'euler' or 'exact'" % (args.config,))
     simulate = simulate_euler if method == "euler" else simulate_exact
-    bundle = simulate(drift, law, n_paths, terminal, step, seed)
+    arguments = read_arguments(simulate, document, args.config, drift=_read_drift)
+    bundle = simulate(**arguments)
     save_bundle(bundle, args.out)
     outputs = [args.out]
     if args.csv:
         bundle_to_csv(bundle, args.csv)
         outputs.append(args.csv)
-    resolved = dict(config)
-    resolved["method"] = method
-    _write_manifest(args.out + ".manifest.json", "simulate", resolved, seed, started, outputs)
+    _write_manifest(args.out + ".manifest.json", "simulate", config, bundle.seed, started, outputs)
     print("wrote %d paths (dim %d, grid %d) to %s" % (bundle.n_paths, bundle.dim, bundle.grid_len, args.out))
     return 0
 
@@ -290,41 +254,32 @@ def cmd_reproduce(args):
     return 0
 
 
-def _theory_drift(document, field, path):
-    entries = np.array(_require(document, field, path), dtype=float)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise CliError(2, "field '%s' in %s must be a square matrix" % (field, path))
-    return DriftMatrix(entries.shape[0], entries)
+# The function behind each theory operation, with the defaults the command
+# line supplies for parameters that have none.
+_THEORY = {
+    "cinfty": (compute_c_infty, {}),
+    "concentration": (check_concentration, {"law": {}}),
+    "rate": (rate_sweep, {"axis": "N", "plan": {}}),
+    "kl": (kl_between, {}),
+}
 
 
 def cmd_theory(args):
     started = _now()
     config = _load_json(args.config)
+    target, defaults = _THEORY[args.operation]
+    arguments = read_arguments(target, {**defaults, **config}, args.config)
+    result = target(**arguments)
     outputs = [args.out]
-    seed = config.get("seed")
+    seed = arguments.get("seed")
 
     if args.operation == "cinfty":
-        drift = _theory_drift(config, "drift", args.config)
-        quantities = compute_c_infty(drift, sigma=config.get("sigma"),
-                                     terminal=float(config.get("terminal", 1.0)))
-        _write_json(quantities.to_dict(), args.out)
-        print("c_infty[0,0] = %r" % (float(quantities.c_infty[0, 0]),))
+        _write_json(result.to_dict(), args.out)
+        print("c_infty[0,0] = %r" % (float(result.c_infty[0, 0]),))
         print("kappa_min = %r, kappa_max = %r, kappa_star = %r"
-              % (quantities.kappa_min, quantities.kappa_max, quantities.kappa_star))
+              % (result.kappa_min, result.kappa_max, result.kappa_star))
     elif args.operation == "concentration":
-        drift = _theory_drift(config, "drift", args.config)
-        law = from_plain(InitialLaw, config.get("law", {}), "law")
-        points = check_concentration(
-            drift,
-            law,
-            [int(n) for n in _require(config, "n_list", args.config)],
-            int(_require(config, "reps", args.config)),
-            int(_require(config, "seed", args.config)),
-            terminal=float(config.get("terminal", 1.0)),
-            step=float(config.get("step", 0.01)),
-            sampler=config.get("sampler", "exact"),
-        )
-        rows = to_plain(points)
+        rows = to_plain(result)
         _write_json(rows, args.out)
         csv_path = args.out + ".csv"
         with open(csv_path, "w", encoding="ascii", newline="\n") as handle:
@@ -332,34 +287,16 @@ def cmd_theory(args):
             for row in rows:
                 handle.write(",".join(repr(value) for value in row.values()) + "\n")
         outputs.append(csv_path)
-        for p in points:
+        for p in result:
             print("N=%d mean operator deviation %r sandwich frequency %r"
                   % (p.n_paths, p.mean_deviation, p.sandwich_frequency))
     elif args.operation == "rate":
-        try:
-            plan = plan_from_dict(config.get("plan", {}))
-        except (TypeError, ValueError) as exc:
-            raise CliError(2, "invalid plan: %s" % (exc,))
-        report = rate_sweep(
-            config.get("axis", "N"),
-            plan,
-            [int(n) for n in _require(config, "points", args.config)],
-            int(_require(config, "reps", args.config)),
-            p=int(config.get("p", 2)),
-            penalty=config.get("penalty", "l1"),
-        )
-        _write_json(report.to_dict(), args.out)
-        seed = plan.master_seed
-        print("fitted exponent %r (expected %r)" % (report.fitted_exponent, report.expected_exponent))
-    elif args.operation == "kl":
-        a1 = np.array(_require(config, "a1", args.config), dtype=float)
-        a2 = np.array(_require(config, "a2", args.config), dtype=float)
-        value = kl_between(a1, a2, int(_require(config, "n_paths", args.config)),
-                           terminal=float(config.get("terminal", 1.0)))
-        _write_json({"kl": value}, args.out)
-        print("kl = %r" % (value,))
+        _write_json(result.to_dict(), args.out)
+        seed = arguments["plan"].master_seed
+        print("fitted exponent %r (expected %r)" % (result.fitted_exponent, result.expected_exponent))
     else:
-        raise CliError(2, "unknown theory operation %r" % (args.operation,))
+        _write_json({"kl": result}, args.out)
+        print("kl = %r" % (result,))
 
     _write_manifest(args.out + ".manifest.json", "theory " + args.operation, config, seed,
                     started, outputs)

@@ -13,7 +13,9 @@ in isolation and results do not depend on execution order or thread count.
 """
 
 import concurrent.futures
+import contextlib
 import dataclasses
+import inspect
 import os
 import sys
 import time
@@ -30,17 +32,37 @@ _ESTIMATORS = ("mle", "lasso", "slope")
 _HEATMAP_NAMES = ("truth", "mle", "lasso", "slope")
 
 
+@dataclasses.dataclass(frozen=True)
+class DriftScheme:
+    """Law of the sparse drifts drawn by ``generate_drift``.
+
+    Diagonal entries are uniform in ``[diag_low, diag_high]``; each
+    off-diagonal entry is zero with probability ``offdiag_zero_prob`` and
+    otherwise uniform in ``[offdiag_low, offdiag_high]``.
+    """
+
+    diag_low: float = -1.0
+    diag_high: float = 1.0
+    offdiag_zero_prob: float = 0.8
+    offdiag_low: float = -0.5
+    offdiag_high: float = 0.5
+
+    def __post_init__(self):
+        if self.diag_low > self.diag_high or self.offdiag_low > self.offdiag_high:
+            raise ValueError("interval bounds are reversed")
+        if not (0.0 <= self.offdiag_zero_prob <= 1.0):
+            raise ValueError("offdiag_zero_prob must be in [0, 1]")
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class ExperimentPlan:
     """Configuration of one full benchmark run.
 
     Defaults give the full comparison: dimensions 5 through 25, ten
     replicates, 500 paths per replicate (400 training, 100 validation) on
-    the unit horizon with spacing 0.01, and the sparse drift scheme with
-    uniform diagonal in [-1, 1] and off-diagonal entries zero with
-    probability 0.8 otherwise uniform in [-0.5, 0.5]. The selection grid
-    spans the levels at which the penalties are actually active for these
-    sample sizes.
+    the unit horizon with spacing 0.01, and the default ``DriftScheme``.
+    The selection grid spans the levels at which the penalties are actually
+    active for these sample sizes.
     """
 
     dims: tuple = tuple(range(5, 26))
@@ -51,11 +73,7 @@ class ExperimentPlan:
     step: float = 0.01
     master_seed: int = 20260815
     grid: CvGrid = CvGrid(log10_min=-3.0, log10_max=0.0, log10_step=0.25)
-    diag_low: float = -1.0
-    diag_high: float = 1.0
-    offdiag_zero_prob: float = 0.8
-    offdiag_low: float = -0.5
-    offdiag_high: float = 0.5
+    scheme: DriftScheme = DriftScheme()
     heatmap_dims: tuple = (15,)
     initial_law: InitialLaw = InitialLaw(kind="zero")
     support_threshold: float = 1e-6
@@ -74,10 +92,6 @@ class ExperimentPlan:
             raise ValueError("replicates must be positive")
         if not (1 <= self.n_train < self.n_paths):
             raise ValueError("n_train must be in [1, n_paths - 1]")
-        if self.diag_low > self.diag_high or self.offdiag_low > self.offdiag_high:
-            raise ValueError("interval bounds are reversed")
-        if not (0.0 <= self.offdiag_zero_prob <= 1.0):
-            raise ValueError("offdiag_zero_prob must be in [0, 1]")
         if self.support_threshold <= 0:
             raise ValueError("support_threshold must be positive")
 
@@ -97,39 +111,66 @@ def to_plain(value):
     return value
 
 
-def from_plain(cls, document, name):
-    """Build the dataclass ``cls`` from a JSON object named ``name`` in errors.
+def read_arguments(target, document, name, **readers):
+    """Keyword arguments for ``target`` read from the JSON object ``document``.
 
-    Keys must be fields of ``cls``, and every field without a default must
-    be present. Each value is read by its field's type: a nested dataclass
-    through this same reader, a tuple from a JSON array, an array from
-    nested lists (or null), an int from an integral number (``10.0`` is
-    accepted) and a float from any number; strings and booleans are
-    rejected where a number is expected.
+    The signature of ``target`` is the schema, and ``name`` labels the
+    object in errors. Keys must be parameters of ``target``, and every
+    parameter without a default must be present. Each value is read by
+    ``read_value`` with its parameter's annotation, or by
+    ``readers[parameter]`` where one is given.
     """
     if not isinstance(document, dict):
         raise ValueError("%s must be a JSON object" % (name,))
-    fields = {field.name: field for field in dataclasses.fields(cls)}
-    unknown = set(document) - set(fields)
+    parameters = inspect.signature(target).parameters
+    unknown = set(document) - set(parameters)
     if unknown:
         raise ValueError("unknown %s fields: %s" % (name, ", ".join(sorted(unknown))))
-    missing = [key for key, field in fields.items()
-               if key not in document and field.default is dataclasses.MISSING]
+    missing = [key for key, parameter in parameters.items()
+               if key not in document and parameter.default is inspect.Parameter.empty]
+    if len(missing) == 1:
+        raise ValueError("missing %s field %r" % (name, missing[0]))
     if missing:
         raise ValueError("missing %s fields: %s" % (name, ", ".join(missing)))
-    return cls(**{key: _read_value(fields[key].type, value, key)
-                  for key, value in document.items()})
+    return {key: readers[key](value) if key in readers
+            else read_value(parameters[key].annotation, value, key)
+            for key, value in document.items()}
 
 
-def _read_value(kind, value, key):
+def from_plain(cls, document, name):
+    """Build the dataclass ``cls`` from a JSON object; its fields are the schema."""
+    return cls(**read_arguments(cls, document, name))
+
+
+def read_value(kind, value, key):
+    """Read the JSON value named ``key`` as ``kind``.
+
+    A dataclass is read through ``from_plain``, a tuple from a JSON array,
+    an array from nested lists of numbers (or null), a ``DriftMatrix`` from
+    a square nested list, an int from an integral number (``10.0`` is
+    accepted) and a float from any number; strings and booleans are
+    rejected where a number is expected. Other values pass through.
+    """
+    if kind is np.ndarray and value is None:
+        return None
+    if kind in (np.ndarray, DriftMatrix):
+        try:  # numpy rejects ragged lists with its own ValueError
+            entries = np.array(value)
+            if entries.dtype.kind not in "iuf":
+                raise ValueError
+        except ValueError:
+            raise ValueError("%s must be an array of numbers, got %r" % (key, value)) from None
+        if kind is np.ndarray:
+            return entries.astype(float)
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+            raise ValueError("%s must be a square matrix" % (key,))
+        return DriftMatrix(entries.shape[0], entries)
     if dataclasses.is_dataclass(kind):
         return from_plain(kind, value, key)
     if kind is tuple:
         if not isinstance(value, list):
             raise ValueError("%s must be a JSON array, got %r" % (key, value))
         return tuple(value)
-    if kind is np.ndarray:
-        return None if value is None else np.array(value, dtype=float)
     if kind in (int, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError("%s must be a number, got %r" % (key, value))
@@ -175,21 +216,18 @@ class ExperimentReport:
     drifts: dict
 
 
-def generate_drift(dim, plan, seed):
-    """Draw the sparse drift used by one dimension of the benchmark.
+def generate_drift(dim: int, scheme: DriftScheme, seed: int):
+    """Draw a ``dim`` x ``dim`` drift from ``scheme``.
 
-    Diagonal entries are uniform in ``[diag_low, diag_high]``; each
-    off-diagonal entry is zero with probability ``offdiag_zero_prob`` and
-    otherwise uniform in ``[offdiag_low, offdiag_high]``. Deterministic for
-    a fixed ``(seed, dim)``.
+    Deterministic for a fixed ``(scheme, dim, seed)``.
     """
     if dim < 2:
         raise ValueError("dim must be at least 2")
     gen = path_stream(seed, dim)
     entries = np.zeros((dim, dim))
-    diag = gen.uniform(plan.diag_low, plan.diag_high, size=dim)
-    keep = gen.random(size=(dim, dim)) >= plan.offdiag_zero_prob
-    values = gen.uniform(plan.offdiag_low, plan.offdiag_high, size=(dim, dim))
+    diag = gen.uniform(scheme.diag_low, scheme.diag_high, size=dim)
+    keep = gen.random(size=(dim, dim)) >= scheme.offdiag_zero_prob
+    values = gen.uniform(scheme.offdiag_low, scheme.offdiag_high, size=(dim, dim))
     off_mask = ~np.eye(dim, dtype=bool)
     entries[off_mask & keep] = values[off_mask & keep]
     entries[np.diag_indices(dim)] = diag
@@ -301,7 +339,7 @@ def run_experiment(plan, threads=1, verbose=False):
     ExperimentReport
     """
     drifts = {
-        dim: generate_drift(dim, plan, mix_seed(plan.master_seed, 1, dim))
+        dim: generate_drift(dim, plan.scheme, mix_seed(plan.master_seed, 1, dim))
         for dim in plan.dims
     }
     cells = [(plan, drifts[dim], dim, replicate)
@@ -309,25 +347,18 @@ def run_experiment(plan, threads=1, verbose=False):
     if threads is None:
         threads = os.cpu_count() or 1
     threads = max(1, min(int(threads), len(cells)))
-    outcomes = {}
-    if threads == 1:
-        for plan_, drift, dim, replicate in cells:
-            outcomes[(dim, replicate)] = _run_cell(plan_, drift, dim, replicate)
-            if verbose and replicate == plan.replicates - 1:
-                print("dim %d done" % dim, file=sys.stderr)
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            for (_, _, dim, replicate), outcome in zip(cells, pool.map(_cell_task, cells)):
-                outcomes[(dim, replicate)] = outcome
-                if verbose and replicate == plan.replicates - 1:
-                    print("dim %d done" % dim, file=sys.stderr)
     rows = []
     heatmaps = []
-    for dim in plan.dims:
-        for replicate in range(plan.replicates):
-            cell_rows, cell_maps = outcomes[(dim, replicate)]
+    # One worker runs the cells in this process, so a caller's patches and
+    # profilers see them.
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=threads) if threads > 1
+          else contextlib.nullcontext()) as pool:
+        outcomes = (pool.map if pool else map)(_cell_task, cells)
+        for (_, _, dim, replicate), (cell_rows, cell_maps) in zip(cells, outcomes):
             rows.extend(cell_rows)
             heatmaps.extend(cell_maps)
+            if verbose and replicate == plan.replicates - 1:
+                print("dim %d done" % dim, file=sys.stderr)
     return ExperimentReport(plan=plan, rows=rows, heatmaps=heatmaps, drifts=drifts)
 
 

@@ -278,7 +278,8 @@ def _check_finite_paths(values, label):
         raise NumericalError("%s produced non-finite path values (overflow)" % (label,))
 
 
-def simulate_euler(drift, law, n_paths, terminal, step, seed):
+def simulate_euler(drift: DriftMatrix, law: InitialLaw, n_paths: int, terminal: float, step: float,
+                   seed: int):
     """Simulate paths with the Euler-Maruyama recursion.
 
     ``x[k+1] = x[k] + step * A x[k] + sqrt(step) * z[k]`` with independent
@@ -316,7 +317,8 @@ def simulate_euler(drift, law, n_paths, terminal, step, seed):
     return PathBundle(n_paths, d, float(terminal), float(step), grid_len, int(seed), values)
 
 
-def simulate_exact(drift, law, n_paths, terminal, step, seed):
+def simulate_exact(drift: DriftMatrix, law: InitialLaw, n_paths: int, terminal: float, step: float,
+                   seed: int):
     """Simulate paths from the exact Gaussian transition kernel.
 
     ``x[k+1] = e^{step * A} x[k] + eta[k]`` with

@@ -16,11 +16,12 @@ form.
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 
 from .errors import NumericalError, UnsupportedInputError
-from .experiments import generate_drift, holdout_stats, to_plain
+from .experiments import ExperimentPlan, generate_drift, holdout_stats, to_plain
 from .model_select import cross_validate
 from .process import (
     DriftMatrix,
@@ -74,14 +75,7 @@ class RateCheckReport:
     p: int
 
     def to_dict(self):
-        return {
-            "sweep_axis": self.sweep_axis,
-            "points": [[float(a), float(b)] for a, b in self.points],
-            "fitted_exponent": self.fitted_exponent,
-            "expected_exponent": self.expected_exponent,
-            "psi": [float(v) for v in self.psi],
-            "p": self.p,
-        }
+        return to_plain(self)
 
 
 def _spectral_summaries(a):
@@ -101,7 +95,7 @@ def _spectral_summaries(a):
     return abscissa, condition
 
 
-def compute_c_infty(drift, sigma=None, terminal=1.0):
+def compute_c_infty(drift: DriftMatrix, sigma: np.ndarray = None, terminal: float = 1.0):
     """Time-integrated second moment of the path and spectral summaries.
 
     Uses ``C(T) = int_0^T e^{sA} (Sigma + (T - s) I) e^{sA^T} ds``. One block
@@ -194,7 +188,16 @@ def kappa_envelope(quantities, sigma=None, terminal=1.0):
     return lower, upper
 
 
-def check_concentration(drift, law, n_list, reps, seed, terminal=1.0, step=0.01, sampler="exact"):
+def _sample_sizes(values, name):
+    # Integral entries as ints; a string, a boolean or a fraction is an error.
+    if any(isinstance(n, bool) or not isinstance(n, numbers.Real) or not float(n).is_integer()
+           for n in values):
+        raise ValueError("%s must contain integers, got %r" % (name, values))
+    return [int(n) for n in values]
+
+
+def check_concentration(drift: DriftMatrix, law: InitialLaw, n_list: tuple, reps: int, seed: int,
+                        terminal: float = 1.0, step: float = 0.01, sampler: str = "exact"):
     """Measure how the empirical second-moment statistic concentrates.
 
     For each sample size ``N`` this simulates ``reps`` independent bundles,
@@ -205,7 +208,8 @@ def check_concentration(drift, law, n_list, reps, seed, terminal=1.0, step=0.01,
 
     Returns a list of ``ConcentrationPoint`` in the order of ``n_list``.
     """
-    if not n_list or any(int(n) < 1 for n in n_list):
+    n_list = _sample_sizes(n_list, "n_list")
+    if not n_list or min(n_list) < 1:
         raise ValueError("n_list must contain positive sample sizes")
     if reps < 1:
         raise ValueError("reps must be positive")
@@ -218,7 +222,6 @@ def check_concentration(drift, law, n_list, reps, seed, terminal=1.0, step=0.01,
     band_high = quantities.kappa_star
     points = []
     for n_paths in n_list:
-        n_paths = int(n_paths)
         deviations = []
         hits = 0
         for replicate in range(reps):
@@ -237,7 +240,8 @@ def check_concentration(drift, law, n_list, reps, seed, terminal=1.0, step=0.01,
     return points
 
 
-def rate_sweep(axis, plan, points, reps, p=2, penalty="l1"):
+def rate_sweep(axis: str, plan: ExperimentPlan, points: tuple, reps: int, p: int = 2,
+               penalty: str = "l1"):
     """Fit the error-decay exponent of the hold-out-selected estimator.
 
     Parameters
@@ -270,11 +274,11 @@ def rate_sweep(axis, plan, points, reps, p=2, penalty="l1"):
         raise ValueError("p must be 1 or 2")
     if reps < 1:
         raise ValueError("reps must be positive")
-    sizes = [int(n) for n in points]
+    sizes = _sample_sizes(points, "points")
     if len(sizes) < 2 or any(n < 8 for n in sizes):
         raise ValueError("points must contain at least two sample sizes >= 8")
     dim = plan.dims[0]
-    drift = generate_drift(dim, plan, mix_seed(plan.master_seed, 1, dim))
+    drift = generate_drift(dim, plan.scheme, mix_seed(plan.master_seed, 1, dim))
     sparsity = drift.nnz
     means = []
     for n_train in sizes:
@@ -380,7 +384,7 @@ def _family_alpha(a):
     return alpha
 
 
-def kl_between(a1, a2, n_paths, terminal=1.0):
+def kl_between(a1: DriftMatrix, a2: DriftMatrix, n_paths: int, terminal: float = 1.0):
     """Path-law divergence between two antisymmetric-perturbation drifts.
 
     For drifts ``A = -(alpha I + antisymmetric)`` started at the origin the

@@ -102,7 +102,12 @@ class TestSimulate:
          "diag_lo"),
         (lambda doc: doc.update(law={"kind": "zero", "subgaussian_factor": 2.0}),
          "subgaussian_factor"),
-    ], ids=["top", "drift", "generator", "law"])
+        (lambda doc: doc.update(drift={"generator": {"dim": 3, "seed": 1, "diag_low": -2.0}}),
+         "diag_low"),
+        (lambda doc: doc.update(drift={"generator": {"dim": 3, "seed": 1,
+                                                     "scheme": {"diag_lo": -2.0}}}),
+         "diag_lo"),
+    ], ids=["top", "drift", "generator", "law", "generator_flat_scheme", "scheme"])
     def test_unknown_field_rejected(self, tmp_path, capsys, edit, name):
         document = _simulate_config()
         edit(document)
@@ -111,6 +116,30 @@ class TestSimulate:
         assert rc == 2
         assert name in capsys.readouterr().err
         assert not (tmp_path / "x.bin").exists()
+
+    @pytest.mark.parametrize("edit, name", [
+        (lambda doc: doc.update(n_paths=2.7), "n_paths"),
+        (lambda doc: doc.update(seed="7"), "seed"),
+        (lambda doc: doc.update(drift={"generator": {"dim": 3.7, "seed": 1}}), "dim"),
+        (lambda doc: doc.update(drift={"generator": {"dim": 3, "seed": True}}), "seed"),
+    ], ids=["n_paths", "seed", "generator_dim", "generator_seed"])
+    def test_coerced_value_rejected(self, tmp_path, capsys, edit, name):
+        document = _simulate_config()
+        edit(document)
+        config = _write_config(tmp_path, "sim.json", document)
+        rc = main(["simulate", "--config", config, "--out", str(tmp_path / "x.bin")])
+        assert rc == 2
+        assert name + " must be" in capsys.readouterr().err
+        assert not (tmp_path / "x.bin").exists()
+
+    def test_generator_scheme(self, tmp_path):
+        document = _simulate_config(n_paths=2)
+        document["drift"] = {"generator": {"dim": 4, "seed": 3,
+                                           "scheme": {"offdiag_zero_prob": 1.0}}}
+        config = _write_config(tmp_path, "sim.json", document)
+        out = str(tmp_path / "paths.bin")
+        assert main(["simulate", "--config", config, "--out", out]) == 0
+        assert load_bundle(out).dim == 4
 
     def test_reruns_byte_identical(self, tmp_path):
         config = _write_config(tmp_path, "sim.json", _simulate_config())
@@ -406,6 +435,45 @@ class TestTheory:
         rc = main(["theory", "kl", "--config", config, "--out", str(tmp_path / "kl.json")])
         assert rc == 2
         assert "unsupported" in capsys.readouterr().err.lower()
+
+
+    @pytest.mark.parametrize("operation, document, name", [
+        ("cinfty", {"drift": [[-1.0]], "terminl": 2.0}, "terminl"),
+        ("concentration", {"drift": [[-1.0]], "n_list": [50], "reps": 1, "seed": 5,
+                           "smapler": "euler"}, "smapler"),
+        ("rate", {"points": [40, 80], "reps": 1, "axes": "N"}, "axes"),
+        ("kl", {"a1": [[-1.0]], "a2": [[-1.0]], "n_paths": 10, "n_path": 5}, "n_path"),
+    ], ids=["cinfty", "concentration", "rate", "kl"])
+    def test_unknown_field_rejected(self, tmp_path, capsys, operation, document, name):
+        config = _write_config(tmp_path, "t.json", document)
+        out = tmp_path / "t_out.json"
+        rc = main(["theory", operation, "--config", config, "--out", str(out)])
+        assert rc == 2
+        assert "fields: %s" % (name,) in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "t_out.json.manifest.json").exists()
+
+    @pytest.mark.parametrize("operation, document, name", [
+        ("concentration", {"drift": [[-1.0]], "n_list": [20.7], "reps": 1, "seed": 5},
+         "n_list"),
+        ("concentration", {"drift": [[-1.0]], "n_list": [20], "reps": 1.9, "seed": 5}, "reps"),
+        ("concentration", {"drift": [[-1.0]], "n_list": [20], "reps": 1, "seed": "5"}, "seed"),
+        ("rate", {"points": [40.9, 80], "reps": 1}, "points"),
+        ("kl", {"a1": [[-1.0]], "a2": [[-1.0]], "n_paths": 2.5}, "n_paths"),
+    ], ids=["n_list", "reps", "seed", "points", "kl_n_paths"])
+    def test_coerced_value_rejected(self, tmp_path, capsys, operation, document, name):
+        config = _write_config(tmp_path, "t.json", document)
+        out = tmp_path / "t_out.json"
+        rc = main(["theory", operation, "--config", config, "--out", str(out)])
+        assert rc == 2
+        assert name + " must" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cinfty_overflow_exit_code(self, tmp_path, capsys):
+        config = _write_config(tmp_path, "c.json", {"drift": [[400.0]], "terminal": 2.0})
+        rc = main(["theory", "cinfty", "--config", config, "--out", str(tmp_path / "o.json")])
+        assert rc == 4
+        assert "numerical failure" in capsys.readouterr().err
 
 
 class TestEntryPoint:

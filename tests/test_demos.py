@@ -12,7 +12,7 @@ import sparse_ou
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
-@pytest.mark.parametrize("script", ["theory_checks.py", "reproduce_study.py"])
+@pytest.mark.parametrize("script", sorted(path.name for path in DEMOS.glob("*.py")))
 def test_demo_runs(tmp_path, script):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(sparse_ou.__file__).resolve().parents[1])

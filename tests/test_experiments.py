@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from sparse_ou import (
+    DriftMatrix,
+    DriftScheme,
     ExperimentPlan,
     NumericalError,
     display_transform,
@@ -14,6 +16,7 @@ from sparse_ou import (
     summarize,
     support_f1,
 )
+from sparse_ou.experiments import read_arguments, read_value
 
 TINY = dict(dims=(3, 4), replicates=2, n_paths=40, n_train=32, heatmap_dims=(3,))
 
@@ -27,20 +30,20 @@ def _tiny_plan(**overrides):
 class TestDriftGeneration:
     def test_deterministic(self):
         plan = ExperimentPlan()
-        a = generate_drift(12, plan, seed=5)
-        b = generate_drift(12, plan, seed=5)
+        a = generate_drift(12, plan.scheme, seed=5)
+        b = generate_drift(12, plan.scheme, seed=5)
         assert np.array_equal(a.entries, b.entries)
         assert a.true_support == b.true_support
 
     def test_seed_sensitivity(self):
         plan = ExperimentPlan()
-        a = generate_drift(12, plan, seed=5)
-        b = generate_drift(12, plan, seed=6)
+        a = generate_drift(12, plan.scheme, seed=5)
+        b = generate_drift(12, plan.scheme, seed=6)
         assert not np.array_equal(a.entries, b.entries)
 
     def test_entry_ranges(self):
         plan = ExperimentPlan()
-        drift = generate_drift(30, plan, seed=0)
+        drift = generate_drift(30, plan.scheme, seed=0)
         diag = np.diag(drift.entries)
         assert np.all(diag >= -1.0) and np.all(diag <= 1.0)
         off = drift.entries[~np.eye(30, dtype=bool)]
@@ -51,13 +54,13 @@ class TestDriftGeneration:
         # 0.8 zero probability: with 1560 off-diagonal slots the zero count
         # concentrates tightly around 1248.
         plan = ExperimentPlan()
-        drift = generate_drift(40, plan, seed=1)
+        drift = generate_drift(40, plan.scheme, seed=1)
         off = drift.entries[~np.eye(40, dtype=bool)]
         zero_fraction = np.mean(off == 0.0)
         assert 0.75 <= zero_fraction <= 0.85
 
     def test_support_recorded(self):
-        drift = generate_drift(10, ExperimentPlan(), seed=2)
+        drift = generate_drift(10, DriftScheme(), seed=2)
         expected = set(zip(*np.nonzero(drift.entries)))
         assert drift.true_support == expected
 
@@ -280,6 +283,11 @@ class TestPlanParsing:
         with pytest.raises(ValueError, match="unknown grid fields: log10_stride"):
             plan_from_dict({"grid": {"log10_min": -3, "log10_max": 0, "log10_step": 0.5,
                                      "log10_stride": 0.5}})
+        # The drift scheme is one nested object; its fields are not plan keys.
+        with pytest.raises(ValueError, match="unknown plan fields: diag_low"):
+            plan_from_dict({"diag_low": -2.0})
+        with pytest.raises(ValueError, match="unknown scheme fields: diag_lo"):
+            plan_from_dict({"scheme": {"diag_lo": -2.0}})
 
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
@@ -309,6 +317,41 @@ class TestPlanParsing:
         ):
             with pytest.raises(ValueError, match=message):
                 plan_from_dict(document)
+
+    def test_scheme_object(self):
+        plan = plan_from_dict({"scheme": {"offdiag_zero_prob": 0.9}})
+        assert plan.scheme == DriftScheme(offdiag_zero_prob=0.9)
+        assert plan.to_dict()["scheme"]["offdiag_zero_prob"] == 0.9
+        with pytest.raises(ValueError, match="interval bounds are reversed"):
+            plan_from_dict({"scheme": {"diag_low": 1.0, "diag_high": -1.0}})
+        with pytest.raises(ValueError, match="offdiag_zero_prob must be in"):
+            DriftScheme(offdiag_zero_prob=1.5)
+
+    def test_drift_matrix_from_square_list(self):
+        drift = read_value(DriftMatrix, [[-1, 0.5], [0.0, -2.0]], "drift")
+        assert drift.dim == 2 and drift.entries[0, 1] == 0.5
+        for value, message in (
+            ([[-1.0, 0.0]], "drift must be a square matrix"),
+            ([-1.0], "drift must be a square matrix"),
+            ([["-1"]], "drift must be an array of numbers"),
+            ([[True]], "drift must be an array of numbers"),
+            ([[-1.0], [0.0, -2.0]], "drift must be an array of numbers"),
+            ({"matrix": [[-1.0]]}, "drift must be an array of numbers"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                read_value(DriftMatrix, value, "drift")
+
+    def test_arguments_follow_the_signature(self):
+        def target(count: int, scale: float = 1.0):
+            return count * scale
+
+        assert read_arguments(target, {"count": 3.0}, "t") == {"count": 3}
+        with pytest.raises(ValueError, match="unknown t fields: scael"):
+            read_arguments(target, {"count": 3, "scael": 2.0}, "t")
+        with pytest.raises(ValueError, match="missing t field 'count'"):
+            read_arguments(target, {"scale": 2.0}, "t")
+        with pytest.raises(ValueError, match="count must be an integer"):
+            read_arguments(target, {"count": 2.5}, "t")
 
     def test_integral_float_accepted_as_int(self):
         plan = plan_from_dict({"replicates": 10.0, "solver": {"max_iters": 200.0}})

@@ -20,11 +20,11 @@ from sparse_ou import (
     solve_lasso,
     split_paths,
 )
-from sparse_ou.experiments import ExperimentPlan, generate_drift
+from sparse_ou.experiments import DriftScheme, generate_drift
 
 
 def _cv_instance(dim=5, n_paths=120, seed=3):
-    drift = generate_drift(dim, ExperimentPlan(), seed=seed)
+    drift = generate_drift(dim, DriftScheme(), seed=seed)
     bundle = simulate_euler(drift, InitialLaw(), n_paths, 1.0, 0.01, seed=seed + 100)
     train, valid = split_paths(bundle, int(n_paths * 0.8))
     return drift, compute_suffstats(train), compute_suffstats(valid), valid

@@ -256,7 +256,7 @@ class TestConfigAndResult:
         # raises the objective by rounding. The step must still be taken:
         # keeping the current iterate instead stalls at `max_iters`.
         plan = ExperimentPlan(master_seed=20260817)
-        drift = generate_drift(dim, plan, mix_seed(plan.master_seed, 1, dim))
+        drift = generate_drift(dim, plan.scheme, mix_seed(plan.master_seed, 1, dim))
         paths = simulate_euler(
             drift, plan.initial_law, plan.n_paths, plan.terminal, plan.step,
             mix_seed(plan.master_seed, 2, dim, replicate),

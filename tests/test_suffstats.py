@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sparse_ou import (
-    ExperimentPlan,
     DriftMatrix,
     InitialLaw,
     PathBundle,
@@ -194,9 +193,9 @@ class TestEmpiricalSecondMoment:
         # Benchmark-sized instance (d = 15, batches of 400 paths): the
         # expected Gram matrix, estimated by averaging seeded batches, lands
         # within 15 percent of the population value in operator norm.
-        from sparse_ou.experiments import generate_drift
+        from sparse_ou.experiments import DriftScheme, generate_drift
 
-        drift = generate_drift(15, ExperimentPlan(), seed=1)
+        drift = generate_drift(15, DriftScheme(), seed=1)
         target = compute_c_infty(drift).c_infty
         mean_c = np.zeros((15, 15))
         reps = 10

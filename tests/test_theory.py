@@ -183,6 +183,11 @@ class TestConcentration:
             check_concentration(
                 drift, InitialLaw(), n_list=(10,), reps=1, seed=0, sampler="heun"
             )
+        # Sample sizes are counts: no truncation of fractions, no strings
+        # or booleans read as numbers.
+        for n_list in ((20.7, 30), (20, "30"), (True, 30)):
+            with pytest.raises(ValueError, match="n_list must contain integers"):
+                check_concentration(drift, InitialLaw(), n_list=n_list, reps=1, seed=0)
 
 
 class TestMinimaxFamily:
@@ -352,7 +357,7 @@ class TestRateSweep:
         from sparse_ou.experiments import generate_drift
         from sparse_ou.process import mix_seed
 
-        drift = generate_drift(5, plan, mix_seed(plan.master_seed, 1, 5))
+        drift = generate_drift(5, plan.scheme, mix_seed(plan.master_seed, 1, 5))
         s = drift.nnz
         expected = math.sqrt(s) * math.sqrt(math.log(math.e * 25.0 / s) / 40.0)
         assert report.psi[0] == pytest.approx(expected, rel=1e-12)
@@ -368,3 +373,6 @@ class TestRateSweep:
             rate_sweep("N", plan, points=(40,), reps=1)
         with pytest.raises(ValueError):
             rate_sweep("N", plan, points=(4, 40), reps=1)
+        for points in ((40.9, 80), (40, "80"), (40, True)):
+            with pytest.raises(ValueError, match="points must contain integers"):
+                rate_sweep("N", plan, points=points, reps=1)
