@@ -83,9 +83,10 @@ class ExperimentPlan:
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 2 for d in dims) or dims != tuple(self.dims):
             raise ValueError("dims must be a nonempty collection of integers >= 2")
-        heatmap_dims = tuple(int(d) for d in self.heatmap_dims)
-        if heatmap_dims != tuple(self.heatmap_dims):
-            raise ValueError("heatmap_dims must be integers")
+        try:
+            heatmap_dims = tuple(read_value(int, d, "heatmap_dims") for d in self.heatmap_dims)
+        except ValueError:
+            raise ValueError("heatmap_dims must be integers, got %r" % (self.heatmap_dims,)) from None
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "heatmap_dims", heatmap_dims)
         if self.replicates < 1:

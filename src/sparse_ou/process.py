@@ -11,8 +11,18 @@ Brownian motion. Repeated independent paths are observed on the uniform grid
   marginals have the true law for any step size.
 
 Random numbers come from counter-based Philox streams keyed by
-``(seed, path index)``, so path ``i`` is bit-identical no matter how many
-paths are requested and independent of any batching or threading.
+``(seed, path index)``, so the draws of path ``i`` do not depend on how many
+paths are requested or on any batching or threading.
+
+Both samplers run the paths in blocks of ``block_rows(grid_len, dim)``
+consecutive paths, about ``BLOCK_BYTES`` of path values each. A block draws
+its normals into one reused buffer, runs the recursion while that buffer is
+still in cache, and checks its paths for overflow. All blocks of a bundle
+hold the same number of paths; the last one ends at the last path and may
+overlap the one before it, and the overlap is recomputed to the same bits.
+Every matrix product thus has one shape, and a path's values do not depend
+on which block it falls in. ``compute_suffstats`` reduces the paths in
+blocks of the same size.
 """
 
 import dataclasses
@@ -26,6 +36,14 @@ from .errors import NumericalError
 _MASK64 = (1 << 64) - 1
 
 _BUNDLE_FORMAT = "sparse-ou-paths"
+
+# Bytes of path values in one block. A constant, never derived from the
+# worker count or the number of paths, so that no result depends on either.
+BLOCK_BYTES = 4 << 20
+# Fewest paths in a block. A matrix product over fewer rows may take another
+# BLAS kernel (matrix-vector at one row, small-matrix kernels below about a
+# hundred rows at d >= 32), which rounds differently.
+_MIN_BLOCK_ROWS = 128
 
 
 def _splitmix64(value):
@@ -48,6 +66,12 @@ def mix_seed(*parts):
     return acc
 
 
+def _path_key(seed, index):
+    # The Philox key of one path: the 128-bit integer ``seed * 2**64 + index``
+    # as two 64-bit words, low word first.
+    return np.array([int(index) & _MASK64, int(seed) & _MASK64], dtype=np.uint64)
+
+
 def path_stream(seed, index):
     """Return the random stream owned by one path.
 
@@ -57,8 +81,28 @@ def path_stream(seed, index):
     """
     if index < 0:
         raise ValueError("path index must be nonnegative")
-    key = ((int(seed) & _MASK64) << 64) | (int(index) & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_path_key(seed, index)))
+
+
+def _path_streams(seed):
+    # ``stream(index)`` draws what ``path_stream(seed, index)`` draws. It
+    # re-keys one generator, which costs a few microseconds less per path
+    # than building a new Philox and Generator.
+    bit_generator = np.random.Philox(key=_path_key(seed, 0))
+    generator = np.random.Generator(bit_generator)
+    fresh = bit_generator.state
+
+    def stream(index):
+        fresh["state"]["key"] = _path_key(seed, index)
+        bit_generator.state = fresh
+        return generator
+
+    return stream
+
+
+def block_rows(grid_len, dim):
+    """Paths in one block: ``BLOCK_BYTES`` of float64 path values, at least 128."""
+    return max(BLOCK_BYTES // (8 * grid_len * dim), _MIN_BLOCK_ROWS)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -260,22 +304,32 @@ def _initial_factor(law, dim):
     return _psd_factor(law.covariance)
 
 
-def _draw_noise(law, init_factor, n_paths, steps, dim, seed):
-    # One Philox stream per path: the initial draw first, then the step
-    # normals, so adding paths never disturbs existing ones.
-    starts = np.zeros((n_paths, dim))
-    normals = np.empty((n_paths, steps, dim))
-    for i in range(n_paths):
-        gen = path_stream(seed, i)
-        if init_factor is not None:
-            starts[i] = init_factor @ gen.standard_normal(dim)
-        normals[i] = gen.standard_normal((steps, dim))
-    return starts, normals
-
-
-def _check_finite_paths(values, label):
-    if not np.all(np.isfinite(values)):
-        raise NumericalError("%s produced non-finite path values (overflow)" % (label,))
+def _simulate(label, advance, law, n_paths, terminal, step, seed, dim):
+    # Draws each block's initial states and step normals, then calls
+    # ``advance(paths, normals)`` to fill ``paths[:, 1:]`` from ``paths[:, 0]``.
+    if n_paths < 1:
+        raise ValueError("n_paths must be positive")
+    grid_len = _grid_length(terminal, step)
+    init_factor = _initial_factor(law, dim)
+    stream = _path_streams(seed)
+    rows = min(block_rows(grid_len, dim), n_paths)
+    values = np.empty((n_paths, grid_len, dim))
+    normals = np.empty((rows, grid_len - 1, dim))
+    for start in [*range(0, n_paths - rows, rows), n_paths - rows]:
+        paths = values[start:start + rows]
+        for row in range(rows):
+            # The initial draw comes first in a path's stream, then the step
+            # normals, so adding paths never disturbs existing ones.
+            generator = stream(start + row)
+            if init_factor is None:
+                paths[row, 0] = 0.0
+            else:
+                paths[row, 0] = init_factor @ generator.standard_normal(dim)
+            generator.standard_normal(out=normals[row])
+        advance(paths, normals)
+        if not np.all(np.isfinite(paths)):
+            raise NumericalError("%s produced non-finite path values (overflow)" % (label,))
+    return PathBundle(n_paths, dim, float(terminal), float(step), grid_len, int(seed), values)
 
 
 def simulate_euler(drift: DriftMatrix, law: InitialLaw, n_paths: int, terminal: float, step: float,
@@ -301,20 +355,16 @@ def simulate_euler(drift: DriftMatrix, law: InitialLaw, n_paths: int, terminal: 
     -------
     PathBundle
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be positive")
-    grid_len = _grid_length(terminal, step)
-    d = drift.dim
     a = drift.entries
-    starts, normals = _draw_noise(law, _initial_factor(law, d), n_paths, grid_len - 1, d, seed)
-    values = np.empty((n_paths, grid_len, d))
-    values[:, 0] = starts
     scale = np.sqrt(step)
-    for k in range(grid_len - 1):
-        state = values[:, k]
-        values[:, k + 1] = state + step * (state @ a.T) + scale * normals[:, k]
-    _check_finite_paths(values, "simulate_euler")
-    return PathBundle(n_paths, d, float(terminal), float(step), grid_len, int(seed), values)
+
+    def advance(paths, normals):
+        normals *= scale
+        for k in range(paths.shape[1] - 1):
+            state = paths[:, k]
+            paths[:, k + 1] = state + step * (state @ a.T) + normals[:, k]
+
+    return _simulate("simulate_euler", advance, law, n_paths, terminal, step, seed, drift.dim)
 
 
 def simulate_exact(drift: DriftMatrix, law: InitialLaw, n_paths: int, terminal: float, step: float,
@@ -327,19 +377,14 @@ def simulate_exact(drift: DriftMatrix, law: InitialLaw, n_paths: int, terminal: 
 
     Parameters and return value match ``simulate_euler``.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be positive")
-    grid_len = _grid_length(terminal, step)
-    d = drift.dim
     transition, gramian = _van_loan(drift.entries, float(step))
     noise_factor = _psd_factor(gramian)
-    starts, normals = _draw_noise(law, _initial_factor(law, d), n_paths, grid_len - 1, d, seed)
-    values = np.empty((n_paths, grid_len, d))
-    values[:, 0] = starts
-    for k in range(grid_len - 1):
-        values[:, k + 1] = values[:, k] @ transition.T + normals[:, k] @ noise_factor.T
-    _check_finite_paths(values, "simulate_exact")
-    return PathBundle(n_paths, d, float(terminal), float(step), grid_len, int(seed), values)
+
+    def advance(paths, normals):
+        for k in range(paths.shape[1] - 1):
+            paths[:, k + 1] = paths[:, k] @ transition.T + normals[:, k] @ noise_factor.T
+
+    return _simulate("simulate_exact", advance, law, n_paths, terminal, step, seed, drift.dim)
 
 
 def save_bundle(bundle, path):
@@ -363,7 +408,7 @@ def save_bundle(bundle, path):
     with open(path, "wb") as handle:
         handle.write(json.dumps(header, sort_keys=True).encode("ascii"))
         handle.write(b"\n")
-        handle.write(np.ascontiguousarray(bundle.values, dtype="<f8").tobytes())
+        handle.write(memoryview(np.ascontiguousarray(bundle.values, dtype="<f8")).cast("B"))
 
 
 def load_bundle(path):
@@ -396,7 +441,9 @@ def load_bundle(path):
             "corrupt bundle payload in %s: expected %d bytes, found %d"
             % (path, expected, len(payload))
         )
-    values = np.frombuffer(payload, dtype="<f8").astype(float).reshape(n_paths, grid_len, dim)
+    # On a little-endian host the array is a view of ``payload``, not a copy.
+    values = np.frombuffer(payload, dtype="<f8").astype(float, copy=False)
+    values = values.reshape(n_paths, grid_len, dim)
     try:
         return PathBundle(n_paths, dim, terminal, step, grid_len, seed, values)
     except ValueError as exc:

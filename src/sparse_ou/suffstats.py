@@ -18,6 +18,8 @@ import json
 
 import numpy as np
 
+from .process import block_rows
+
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class SuffStats:
@@ -81,14 +83,26 @@ def compute_suffstats(paths):
     SuffStats
     """
     values = paths.values
-    left = values[:, :-1, :]
-    increments = values[:, 1:, :] - left
-    # Sums over paths and left grid points; numpy's pairwise reduction keeps
-    # the result deterministic for a fixed shape.
-    c_hat = np.einsum("nkd,nke->de", left, left) * (paths.step / paths.n_paths)
-    b_hat = np.einsum("nkd,nke->de", increments, left) / paths.n_paths
-    c_hat = 0.5 * (c_hat + c_hat.T)
-    return SuffStats(paths.dim, c_hat, b_hat, paths.n_paths, paths.terminal, paths.step)
+    n_paths, grid_len, dim = values.shape
+    rows = min(block_rows(grid_len, dim), n_paths)
+    left = np.empty((rows, grid_len - 1, dim))
+    increments = np.empty_like(left)
+    c_sum = np.zeros((dim, dim))
+    b_sum = np.zeros((dim, dim))
+    # Each block of paths adds two (rows * (grid_len - 1), dim) matrix
+    # products. The blocks and their order are fixed by the bundle's shape,
+    # so the sums are the same bits on every run.
+    for start in range(0, n_paths, rows):
+        block = values[start:start + rows]
+        x = left[:len(block)]
+        dx = increments[:len(block)]
+        np.copyto(x, block[:, :-1])
+        np.subtract(block[:, 1:], x, out=dx)
+        x = x.reshape(-1, dim)
+        c_sum += x.T @ x
+        b_sum += dx.reshape(-1, dim).T @ x
+    return SuffStats(paths.dim, c_sum * (paths.step / n_paths), b_sum / n_paths, paths.n_paths,
+                     paths.terminal, paths.step)
 
 
 def loss(stats, candidate):

@@ -2,7 +2,8 @@
 
 Everything here is a second route to the same quantity: plain Taylor series
 for the matrix exponential, Lyapunov equations for the integrated second
-moment, exhaustive enumeration and a min-max formula for the sorted-l1
+moment, whole-bundle einsum sums for the sufficient statistics, an
+Euler recursion over all paths at once, exhaustive enumeration and a min-max formula for the sorted-l1
 proximal map, cyclic coordinate descent for the l1 problem, a
 discretized log likelihood ratio for path-law divergences, and small random
 problem factories. None of it reuses package internals beyond public data
@@ -14,7 +15,7 @@ import itertools
 import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 
-from sparse_ou import SuffStats
+from sparse_ou import SuffStats, path_stream
 
 
 def taylor_expm(matrix, terms=80):
@@ -44,6 +45,31 @@ def lyapunov_c_infty(a, sigma, terminal):
     gram = solve_continuous_lyapunov(a, flow @ flow.T - eye)
     rhs = flow @ sigma @ flow.T - sigma + gram - terminal * eye
     return solve_continuous_lyapunov(a, rhs)
+
+
+def einsum_suffstats(bundle):
+    """``(c_hat, b_hat)`` as two einsum contractions over the whole bundle."""
+    left = bundle.values[:, :-1, :]
+    increments = bundle.values[:, 1:, :] - left
+    c_hat = np.einsum("nkd,nke->de", left, left) * (bundle.step / bundle.n_paths)
+    b_hat = np.einsum("nkd,nke->de", increments, left) / bundle.n_paths
+    return c_hat, b_hat
+
+
+def unblocked_euler(a, n_paths, grid_len, step, seed):
+    """Euler paths from the origin, every step one product over all paths.
+
+    Path ``i`` draws ``path_stream(seed, i)``; the recursion is
+    ``x[k+1] = x[k] + step * A x[k] + sqrt(step) * z[k]``.
+    """
+    dim = a.shape[0]
+    normals = np.array([path_stream(seed, i).standard_normal((grid_len - 1, dim))
+                        for i in range(n_paths)])
+    values = np.zeros((n_paths, grid_len, dim))
+    for k in range(grid_len - 1):
+        state = values[:, k]
+        values[:, k + 1] = state + step * (state @ a.T) + np.sqrt(step) * normals[:, k]
+    return values
 
 
 def soft_threshold(values, level):

@@ -491,6 +491,32 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "sparse-ou" in proc.stdout
 
+    @staticmethod
+    def _module_env():
+        import sparse_ou
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(sparse_ou.__file__).resolve().parents[1])
+        return env
+
+    def test_python_m_package(self):
+        import sparse_ou
+
+        proc = subprocess.run([sys.executable, "-m", "sparse_ou", "--version"],
+                              capture_output=True, text=True, env=self._module_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "sparse-ou " + sparse_ou.__version__
+
+    def test_python_m_cli_runs_the_command(self, tmp_path):
+        plan = _write_config(tmp_path, "plan.json", TestReproduce.PLAN)
+        out_dir = tmp_path / "study"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sparse_ou.cli", "reproduce", "--plan", plan,
+             "--out-dir", str(out_dir), "--threads", "1"],
+            capture_output=True, text=True, env=self._module_env())
+        assert proc.returncode == 0, proc.stderr
+        assert len((out_dir / "rows.csv").read_text().splitlines()) == 1 + 12
+
     def test_console_script(self, tmp_path):
         """The ``sparse-ou`` script declared in pyproject.toml runs by name.
 

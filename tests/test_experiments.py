@@ -307,6 +307,7 @@ class TestPlanParsing:
             ({"heatmap_dims": 15}, "heatmap_dims must be a JSON array"),
             ({"dims": [2.5, 3]}, "dims must be a nonempty collection of integers"),
             ({"heatmap_dims": ["15"]}, "heatmap_dims must be integers"),
+            ({"heatmap_dims": [True]}, "heatmap_dims must be integers"),
             ({"replicates": 2.7}, "replicates must be an integer"),
             ({"master_seed": True}, "master_seed must be a number"),
             ({"terminal": "1.0"}, "terminal must be a number"),

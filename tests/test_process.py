@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from oracles import taylor_expm
+from oracles import taylor_expm, unblocked_euler
 from sparse_ou import (
     DriftMatrix,
     InitialLaw,
+    NumericalError,
     PathBundle,
     UnsupportedInputError,
     bundle_to_csv,
@@ -20,6 +21,7 @@ from sparse_ou import (
     simulate_exact,
     transition_matrix,
 )
+from sparse_ou.process import _path_streams, block_rows
 
 
 def _scalar_drift(rate):
@@ -202,6 +204,58 @@ class TestDeterminism:
         a = path_stream(5, 0).normal(size=4)
         b = path_stream(5, 1).normal(size=4)
         assert not np.array_equal(a, b)
+
+
+class TestPathBlocks:
+    # d = 40 on 21 grid points: 624 paths to a block, and products over few
+    # rows would take other BLAS kernels at this dimension.
+    DIM = 40
+    TERMINAL = 0.2
+    STEP = 0.01
+
+    def _drift(self):
+        rng = np.random.default_rng(40)
+        return DriftMatrix(self.DIM, 0.1 * rng.normal(size=(self.DIM, self.DIM)) - np.eye(self.DIM))
+
+    @pytest.mark.parametrize("seed", [2**63, 2**63 + 12345, 2**64 - 1])
+    def test_rekeyed_draws_match_path_stream(self, seed):
+        stream = _path_streams(seed)
+        for index in (0, 1, 7, 2**40 + 3):
+            got = stream(index).standard_normal(17)
+            assert np.array_equal(got, path_stream(seed, index).standard_normal(17))
+            # The key layout: the 128-bit integer seed * 2**64 + index.
+            literal = np.random.Generator(np.random.Philox(key=(seed << 64) | index))
+            assert np.array_equal(got, literal.standard_normal(17))
+
+    @pytest.mark.parametrize("sampler", [simulate_euler, simulate_exact])
+    @pytest.mark.parametrize("law", ["zero", "gaussian"])
+    def test_path_extension_across_blocks(self, sampler, law):
+        grid_len = round(self.TERMINAL / self.STEP) + 1
+        rows = block_rows(grid_len, self.DIM)
+        if law == "zero":
+            initial = InitialLaw()
+        else:
+            initial = InitialLaw(kind="gaussian", covariance=0.5 * np.eye(self.DIM) + 0.1)
+        drift = self._drift()
+        largest = sampler(drift, initial, 2 * rows + 1, self.TERMINAL, self.STEP, seed=3)
+        for n_paths in (rows - 1, rows, rows + 1):
+            bundle = sampler(drift, initial, n_paths, self.TERMINAL, self.STEP, seed=3)
+            assert np.array_equal(bundle.values, largest.values[:n_paths]), n_paths
+
+    def test_euler_matches_one_product_over_all_paths(self):
+        grid_len = round(self.TERMINAL / self.STEP) + 1
+        n_paths = 2 * block_rows(grid_len, self.DIM) + 1
+        drift = self._drift()
+        bundle = simulate_euler(drift, InitialLaw(), n_paths, self.TERMINAL, self.STEP, seed=5)
+        expected = unblocked_euler(drift.entries, n_paths, grid_len, self.STEP, seed=5)
+        assert np.array_equal(bundle.values, expected)
+
+    @pytest.mark.parametrize("sampler, rate", [(simulate_euler, 1e6), (simulate_exact, 800.0)])
+    def test_exploding_drift_raises(self, sampler, rate):
+        drift = DriftMatrix(2, rate * np.eye(2))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericalError, match="non-finite path values"):
+            sampler(drift, InitialLaw(), 5, 1.0, 0.01, seed=1)
 
 
 class TestSerialization:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import einsum_suffstats
 from sparse_ou import (
     DriftMatrix,
     InitialLaw,
@@ -19,6 +20,7 @@ from sparse_ou import (
     stats_from_json,
     stats_to_json,
 )
+from sparse_ou.process import block_rows
 
 
 def _bundle_from_array(values, step):
@@ -77,6 +79,18 @@ class TestComputation:
         s2 = compute_suffstats(_bundle_from_array(doubled, 0.05))
         assert np.allclose(s1.c_hat, s2.c_hat, atol=1e-12)
         assert np.allclose(s1.b_hat, s2.b_hat, atol=1e-12)
+
+    @pytest.mark.parametrize("grid_len, dim", [(101, 25), (21, 3)])
+    def test_matches_einsum_oracle(self, grid_len, dim):
+        # One and a half blocks of paths, so the last block is a partial one.
+        n_paths = block_rows(grid_len, dim) * 3 // 2 + 1
+        rng = np.random.default_rng(4)
+        values = np.cumsum(rng.normal(size=(n_paths, grid_len, dim)), axis=1)
+        bundle = _bundle_from_array(values, 0.01)
+        stats = compute_suffstats(bundle)
+        c_hat, b_hat = einsum_suffstats(bundle)
+        for got, want in ((stats.c_hat, c_hat), (stats.b_hat, b_hat)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_c_hat_symmetric_psd(self):
         rng = np.random.default_rng(1)
