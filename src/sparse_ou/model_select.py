@@ -56,6 +56,11 @@ class CvReport:
     result: EstimatorResult
     penalty_kind: str
 
+    @property
+    def grid_edge(self):
+        """Whether the chosen level is the smallest or the largest of the grid."""
+        return self.chosen_lambda in (self.scores[0][0], self.scores[-1][0])
+
     def to_dict(self):
         return {
             "chosen_lambda": self.chosen_lambda,
@@ -83,6 +88,8 @@ def split_paths(paths, n_train):
     """Split a bundle into (training prefix, validation suffix) by path index.
 
     Both halves are read-only views of ``paths.values``; nothing is copied.
+    Serves CLI ``estimate``; the experiments split streamed paths by index
+    in ``experiments.holdout_stats`` without building a bundle.
     """
     if not (1 <= n_train < paths.n_paths):
         raise ValueError("n_train must be in [1, n_paths - 1], got %r" % (n_train,))

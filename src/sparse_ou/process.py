@@ -14,15 +14,19 @@ Random numbers come from counter-based Philox streams keyed by
 ``(seed, path index)``, so the draws of path ``i`` do not depend on how many
 paths are requested or on any batching or threading.
 
-Both samplers run the paths in blocks of ``block_rows(grid_len, dim)``
-consecutive paths, about ``BLOCK_BYTES`` of path values each. A block draws
-its normals into one reused buffer, runs the recursion while that buffer is
-still in cache, and checks its paths for overflow. All blocks of a bundle
-hold the same number of paths; the last one ends at the last path and may
-overlap the one before it, and the overlap is recomputed to the same bits.
-Every matrix product thus has one shape, and a path's values do not depend
-on which block it falls in. ``compute_suffstats`` reduces the paths in
-blocks of the same size.
+``path_blocks`` runs the paths in blocks of ``block_rows(grid_len, dim)``
+consecutive paths, about ``BLOCK_BYTES`` of path values each, and yields
+each block as a view of one reused buffer. A block draws its normals into a
+second reused buffer, runs the recursion while that buffer is still in
+cache, and checks its paths for overflow. Every block of a run has the same
+number of rows, at least ``_MIN_BLOCK_ROWS``: the rows past the last path
+are zero padding, never drawn and never yielded. Every matrix product thus
+has one shape, and a path's values depend neither on which block it falls
+in nor on how many paths are requested. The statistics (``suffstats``) are
+reduced from these blocks as they come, so the estimators and the theory
+checks never hold more than one block; ``simulate_euler`` and
+``simulate_exact`` collect the blocks into a ``PathBundle`` for the command
+line.
 """
 
 import dataclasses
@@ -40,9 +44,10 @@ _BUNDLE_FORMAT = "sparse-ou-paths"
 # Bytes of path values in one block. A constant, never derived from the
 # worker count or the number of paths, so that no result depends on either.
 BLOCK_BYTES = 4 << 20
-# Fewest paths in a block. A matrix product over fewer rows may take another
-# BLAS kernel (matrix-vector at one row, small-matrix kernels below about a
-# hundred rows at d >= 32), which rounds differently.
+# Fewest rows in a block; a smaller run is padded with zero rows. A matrix
+# product over fewer rows may take another BLAS kernel (matrix-vector at one
+# row, small-matrix kernels below about a hundred rows at d >= 32), which
+# rounds differently.
 _MIN_BLOCK_ROWS = 128
 
 
@@ -77,7 +82,8 @@ def path_stream(seed, index):
 
     Philox keyed by the pair ``(seed, index)``. Streams for distinct pairs
     are independent, and growing the number of paths never alters the draws
-    of existing paths.
+    of existing paths, nor (since every block has the same rows) their
+    values.
     """
     if index < 0:
         raise ValueError("path index must be nonnegative")
@@ -101,7 +107,7 @@ def _path_streams(seed):
 
 
 def block_rows(grid_len, dim):
-    """Paths in one block: ``BLOCK_BYTES`` of float64 path values, at least 128."""
+    """Rows in a full block: ``BLOCK_BYTES`` of float64 path values, at least 128."""
     return max(BLOCK_BYTES // (8 * grid_len * dim), _MIN_BLOCK_ROWS)
 
 
@@ -191,6 +197,9 @@ class PathBundle:
     ``values`` has shape ``(n_paths, grid_len, dim)`` with
     ``values[i, k]`` the state of path ``i`` at time ``k * step``. The array
     is read-only; a split (``split_paths``) holds read-only views of it.
+    Only the command line (``simulate``, ``estimate``, CSV export) builds
+    bundles: the experiments and theory checks reduce ``path_blocks``
+    straight to statistics.
     """
 
     n_paths: int
@@ -304,32 +313,89 @@ def _initial_factor(law, dim):
     return _psd_factor(law.covariance)
 
 
-def _simulate(label, advance, law, n_paths, terminal, step, seed, dim):
-    # Draws each block's initial states and step normals, then calls
-    # ``advance(paths, normals)`` to fill ``paths[:, 1:]`` from ``paths[:, 0]``.
+def _euler_advance(drift, step):
+    # x[k+1] = x[k] + step * A x[k] + sqrt(step) * z[k]
+    a = drift.entries
+    scale = np.sqrt(step)
+
+    def advance(paths, normals):
+        normals *= scale
+        for k in range(paths.shape[1] - 1):
+            state = paths[:, k]
+            paths[:, k + 1] = state + step * (state @ a.T) + normals[:, k]
+
+    return advance
+
+
+def _exact_advance(drift, step):
+    # x[k+1] = e^{step A} x[k] + F z[k] with F F^T the one-step noise Gramian.
+    transition, gramian = _van_loan(drift.entries, float(step))
+    noise_factor = _psd_factor(gramian)
+
+    def advance(paths, normals):
+        for k in range(paths.shape[1] - 1):
+            paths[:, k + 1] = paths[:, k] @ transition.T + normals[:, k] @ noise_factor.T
+
+    return advance
+
+
+_ADVANCE = {"euler": _euler_advance, "exact": _exact_advance}
+
+
+def path_blocks(method, drift, law, n_paths, terminal, step, seed):
+    """Simulate paths block by block; yield ``(first path index, block)``.
+
+    ``method`` is ``"euler"`` (the recursion of ``simulate_euler``) or
+    ``"exact"`` (that of ``simulate_exact``). Each ``block`` has shape
+    ``(rows, grid_len, dim)`` and holds the consecutive paths from the
+    first index on. It is a view of a buffer that the next block
+    overwrites, so use or copy it before advancing the iterator. The
+    arguments are checked before the first block is asked for.
+    """
+    if method not in _ADVANCE:
+        raise ValueError("method must be 'euler' or 'exact', got %r" % (method,))
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
     grid_len = _grid_length(terminal, step)
-    init_factor = _initial_factor(law, dim)
-    stream = _path_streams(seed)
-    rows = min(block_rows(grid_len, dim), n_paths)
-    values = np.empty((n_paths, grid_len, dim))
-    normals = np.empty((rows, grid_len - 1, dim))
-    for start in [*range(0, n_paths - rows, rows), n_paths - rows]:
-        paths = values[start:start + rows]
-        for row in range(rows):
-            # The initial draw comes first in a path's stream, then the step
-            # normals, so adding paths never disturbs existing ones.
-            generator = stream(start + row)
-            if init_factor is None:
-                paths[row, 0] = 0.0
-            else:
-                paths[row, 0] = init_factor @ generator.standard_normal(dim)
-            generator.standard_normal(out=normals[row])
-        advance(paths, normals)
-        if not np.all(np.isfinite(paths)):
-            raise NumericalError("%s produced non-finite path values (overflow)" % (label,))
-    return PathBundle(n_paths, dim, float(terminal), float(step), grid_len, int(seed), values)
+    init_factor = _initial_factor(law, drift.dim)
+    advance = _ADVANCE[method](drift, step)
+    rows = min(block_rows(grid_len, drift.dim), max(n_paths, _MIN_BLOCK_ROWS))
+
+    def blocks():
+        stream = _path_streams(seed)
+        paths = np.empty((rows, grid_len, drift.dim))
+        normals = np.empty((rows, grid_len - 1, drift.dim))
+        for start in range(0, n_paths, rows):
+            count = min(rows, n_paths - start)
+            for row in range(count):
+                # The initial draw comes first in a path's stream, then the
+                # step normals, so adding paths never disturbs existing ones.
+                generator = stream(start + row)
+                if init_factor is None:
+                    paths[row, 0] = 0.0
+                else:
+                    paths[row, 0] = init_factor @ generator.standard_normal(drift.dim)
+                generator.standard_normal(out=normals[row])
+            # Padding rows start at zero with zero noise and stay zero.
+            paths[count:, 0] = 0.0
+            normals[count:] = 0.0
+            advance(paths, normals)
+            block = paths[:count]
+            if not np.all(np.isfinite(block)):
+                raise NumericalError(
+                    "simulate_%s produced non-finite path values (overflow)" % (method,))
+            yield start, block
+
+    return blocks()
+
+
+def _bundle(method, drift, law, n_paths, terminal, step, seed):
+    blocks = path_blocks(method, drift, law, n_paths, terminal, step, seed)
+    grid_len = _grid_length(terminal, step)
+    values = np.empty((n_paths, grid_len, drift.dim))
+    for start, block in blocks:
+        values[start:start + len(block)] = block
+    return PathBundle(n_paths, drift.dim, float(terminal), float(step), grid_len, int(seed), values)
 
 
 def simulate_euler(drift: DriftMatrix, law: InitialLaw, n_paths: int, terminal: float, step: float,
@@ -354,17 +420,9 @@ def simulate_euler(drift: DriftMatrix, law: InitialLaw, n_paths: int, terminal: 
     Returns
     -------
     PathBundle
+        The blocks of ``path_blocks("euler", ...)``, collected.
     """
-    a = drift.entries
-    scale = np.sqrt(step)
-
-    def advance(paths, normals):
-        normals *= scale
-        for k in range(paths.shape[1] - 1):
-            state = paths[:, k]
-            paths[:, k + 1] = state + step * (state @ a.T) + normals[:, k]
-
-    return _simulate("simulate_euler", advance, law, n_paths, terminal, step, seed, drift.dim)
+    return _bundle("euler", drift, law, n_paths, terminal, step, seed)
 
 
 def simulate_exact(drift: DriftMatrix, law: InitialLaw, n_paths: int, terminal: float, step: float,
@@ -375,16 +433,10 @@ def simulate_exact(drift: DriftMatrix, law: InitialLaw, n_paths: int, terminal: 
     ``eta[k] ~ N(0, int_0^step e^{sA} e^{sA^T} ds)``, so every grid marginal
     has the true law regardless of the step size.
 
-    Parameters and return value match ``simulate_euler``.
+    Parameters match ``simulate_euler``; the bundle collects the blocks of
+    ``path_blocks("exact", ...)``.
     """
-    transition, gramian = _van_loan(drift.entries, float(step))
-    noise_factor = _psd_factor(gramian)
-
-    def advance(paths, normals):
-        for k in range(paths.shape[1] - 1):
-            paths[:, k + 1] = paths[:, k] @ transition.T + normals[:, k] @ noise_factor.T
-
-    return _simulate("simulate_exact", advance, law, n_paths, terminal, step, seed, drift.dim)
+    return _bundle("exact", drift, law, n_paths, terminal, step, seed)
 
 
 def save_bundle(bundle, path):

@@ -300,6 +300,24 @@ class TestReproduce:
         for name in ("rows.csv", "curve_scaled_l2sq_lasso.csv", "heatmap_d3_rep0_truth.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    # A one-level grid always picks its edge: both penalized fits of each of
+    # the 4 cells. One iteration from zero cannot reach the tolerance there.
+    @pytest.mark.parametrize("solver, nonconverged", [({}, 0), ({"max_iters": 1}, 8)])
+    def test_edge_picks_and_nonconverged_fits_are_reported(self, tmp_path, capsys, solver,
+                                                          nonconverged):
+        one_level = {"log10_min": -3.0, "log10_max": -3.0, "log10_step": 0.25}
+        plan = _write_config(tmp_path, "plan.json",
+                             dict(self.PLAN, grid=one_level, solver=solver))
+        out_dir = tmp_path / "study"
+        rc = main(["reproduce", "--plan", plan, "--out-dir", str(out_dir), "--threads", "1"])
+        assert rc == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert warnings == ["warning: 8 hold-out picks on the edge of the grid, "
+                            "%d fits not converged" % nonconverged]
+        header = (out_dir / "rows.csv").read_text().splitlines()[0]
+        assert header == "d,replicate,estimator,scaled_l2sq,scaled_l1,support_f1,lambda,status"
+
     def test_default_plan_fields_used_when_missing(self, tmp_path):
         plan = _write_config(
             tmp_path, "plan.json", {"dims": [3], "replicates": 1, "n_paths": 20, "n_train": 16}

@@ -21,7 +21,7 @@ from sparse_ou import (
     simulate_exact,
     transition_matrix,
 )
-from sparse_ou.process import _path_streams, block_rows
+from sparse_ou.process import _path_streams, block_rows, path_blocks
 
 
 def _scalar_drift(rate):
@@ -241,6 +241,37 @@ class TestPathBlocks:
         for n_paths in (rows - 1, rows, rows + 1):
             bundle = sampler(drift, initial, n_paths, self.TERMINAL, self.STEP, seed=3)
             assert np.array_equal(bundle.values, largest.values[:n_paths]), n_paths
+
+    @pytest.mark.parametrize("sampler", [simulate_euler, simulate_exact])
+    @pytest.mark.parametrize("dim", [1, 3, 40])
+    def test_small_bundles_take_the_block_shape(self, sampler, dim):
+        # Bundles below one block are padded to full block rows, so their
+        # products round as a large bundle's do.
+        rng = np.random.default_rng(dim)
+        drift = DriftMatrix(dim, 0.1 * rng.normal(size=(dim, dim)) - np.eye(dim))
+        largest = sampler(drift, InitialLaw(), 300, self.TERMINAL, self.STEP, seed=11)
+        for n_paths in (1, 2, 3):
+            bundle = sampler(drift, InitialLaw(), n_paths, self.TERMINAL, self.STEP, seed=11)
+            assert np.array_equal(bundle.values, largest.values[:n_paths]), n_paths
+
+    def test_blocks_yield_each_path_once(self):
+        grid_len = round(self.TERMINAL / self.STEP) + 1
+        rows = block_rows(grid_len, self.DIM)
+        n_paths = 2 * rows + 1
+        drift = self._drift()
+        blocks = [(start, block.copy()) for start, block in path_blocks(
+            "exact", drift, InitialLaw(), n_paths, self.TERMINAL, self.STEP, seed=2)]
+        assert [(start, len(block)) for start, block in blocks] == [
+            (0, rows), (rows, rows), (2 * rows, 1)]
+        bundle = simulate_exact(drift, InitialLaw(), n_paths, self.TERMINAL, self.STEP, seed=2)
+        assert np.array_equal(np.concatenate([block for _, block in blocks]), bundle.values)
+
+    def test_block_arguments_checked_before_the_first_block(self):
+        drift = self._drift()
+        with pytest.raises(ValueError, match="method"):
+            path_blocks("heun", drift, InitialLaw(), 3, self.TERMINAL, self.STEP, seed=0)
+        with pytest.raises(ValueError, match="n_paths"):
+            path_blocks("euler", drift, InitialLaw(), 0, self.TERMINAL, self.STEP, seed=0)
 
     def test_euler_matches_one_product_over_all_paths(self):
         grid_len = round(self.TERMINAL / self.STEP) + 1

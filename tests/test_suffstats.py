@@ -20,6 +20,8 @@ from sparse_ou import (
     stats_from_json,
     stats_to_json,
 )
+from sparse_ou.experiments import DriftScheme, ExperimentPlan, generate_drift, holdout_stats
+from sparse_ou.model_select import split_paths
 from sparse_ou.process import block_rows
 
 
@@ -98,6 +100,30 @@ class TestComputation:
         stats = compute_suffstats(bundle)
         assert np.array_equal(stats.c_hat, stats.c_hat.T)
         assert np.min(np.linalg.eigvalsh(stats.c_hat)) >= -1e-12
+
+
+class TestStreamedStatistics:
+    # d = 25 on the plan's 101 grid points: 207 paths to a block.
+    @pytest.mark.parametrize("where", ["inside_a_block", "on_a_block_edge"])
+    def test_holdout_matches_the_split_bundle(self, where):
+        plan = ExperimentPlan()
+        drift = generate_drift(25, DriftScheme(), seed=3)
+        rows = block_rows(101, 25)
+        n_paths = 2 * rows + 40
+        n_train = rows + 50 if where == "inside_a_block" else rows
+        streamed = holdout_stats(drift, plan, n_paths, n_train, seed=9)
+        bundle = simulate_euler(drift, plan.initial_law, n_paths, plan.terminal, plan.step, seed=9)
+        for got, part in zip(streamed, split_paths(bundle, n_train)):
+            want = compute_suffstats(part)
+            assert (got.n_paths, got.terminal, got.step) == (want.n_paths, 1.0, 0.01)
+            for a, b in ((got.c_hat, want.c_hat), (got.b_hat, want.b_hat)):
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_holdout_rejects_an_empty_half(self):
+        drift = generate_drift(3, DriftScheme(), seed=3)
+        for n_train in (0, 20):
+            with pytest.raises(ValueError, match="n_train"):
+                holdout_stats(drift, ExperimentPlan(), 20, n_train, seed=9)
 
 
 class TestLoss:

@@ -1,6 +1,7 @@
 """Population quantities, concentration checks, and path-law divergences."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,11 +17,15 @@ from sparse_ou import (
     UnsupportedInputError,
     check_concentration,
     compute_c_infty,
+    compute_suffstats,
     kappa_envelope,
     kl_between,
     minimax_family,
+    mix_seed,
     noise_gramian,
     rate_sweep,
+    simulate_euler,
+    simulate_exact,
 )
 
 SCALAR_ANCHOR = (1.0 + math.exp(-2.0)) / 4.0  # = 0.28383382...
@@ -172,6 +177,41 @@ class TestConcentration:
         drift = DriftMatrix(2, stable_random_drift(rng, 2))
         points = check_concentration(drift, InitialLaw(), n_list=(3000,), reps=5, seed=7)
         assert points[0].sandwich_frequency >= 0.8
+
+    @pytest.mark.parametrize("sampler", ["exact", "euler"])
+    def test_matches_the_bundle_computation(self, sampler):
+        simulate = simulate_exact if sampler == "exact" else simulate_euler
+        drift = DriftMatrix(3, stable_random_drift(np.random.default_rng(5), 3))
+        law = InitialLaw(kind="gaussian", covariance=0.3 * np.eye(3))
+        n_list, reps, seed = (150, 700), 2, 21
+        points = check_concentration(drift, law, n_list=n_list, reps=reps, seed=seed,
+                                     terminal=0.5, sampler=sampler)
+        quantities = compute_c_infty(drift, sigma=law.covariance, terminal=0.5)
+        for point, n_paths in zip(points, n_list):
+            deviations, hits = [], 0
+            for replicate in range(reps):
+                bundle = simulate(drift, law, n_paths, 0.5, 0.01,
+                                  mix_seed(seed, 4, n_paths, replicate))
+                c_hat = compute_suffstats(bundle).c_hat
+                deviations.append(np.linalg.norm(c_hat - quantities.c_infty, 2))
+                spectrum = np.linalg.eigvalsh(c_hat)
+                hits += (spectrum[0] >= 0.5 * quantities.kappa_min
+                         and spectrum[-1] <= quantities.kappa_star)
+            assert point.n_paths == n_paths
+            assert point.mean_deviation == pytest.approx(np.mean(deviations), rel=1e-9, abs=0)
+            assert point.sandwich_frequency == hits / reps
+
+    def test_memory_stays_far_below_the_path_array(self):
+        # d = 25, N = 3000 on 101 grid points: the path array would take 60.6 MB.
+        drift = DriftMatrix(25, stable_random_drift(np.random.default_rng(6), 25))
+        path_array_bytes = 3000 * 101 * 25 * 8
+        tracemalloc.start()
+        try:
+            check_concentration(drift, InitialLaw(), n_list=(3000,), reps=1, seed=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path_array_bytes / 4
 
     def test_invalid_args(self):
         drift = DriftMatrix(2, -np.eye(2))
