@@ -15,12 +15,13 @@ import numpy as np
 from sparse_ou import (
     DriftMatrix,
     InitialLaw,
+    bundle_to_csv,
     load_bundle,
     save_bundle,
     simulate_euler,
     simulate_exact,
 )
-from sparse_ou.process import bundle_to_csv, noise_gramian
+from sparse_ou.process import noise_gramian
 
 # A stable 3x3 drift: all eigenvalues in the open left half plane.
 drift = DriftMatrix(3, np.array([

@@ -15,13 +15,10 @@ from .process import (
     DriftMatrix,
     InitialLaw,
     PathBundle,
-    bundle_to_csv,
-    load_bundle,
     matrix_exponential,
     mix_seed,
     noise_gramian,
     path_stream,
-    save_bundle,
     simulate_euler,
     simulate_exact,
     transition_matrix,
@@ -32,26 +29,26 @@ from .suffstats import (
     compute_suffstats,
     loss,
     martingale_term,
-    stats_from_json,
-    stats_to_json,
 )
 from .prox import WeightVector, prox_l1, prox_sorted_l1, slope_weights, sorted_l1_norm
 from .solvers import (
     EstimatorResult,
     SolverConfig,
-    result_from_json,
-    result_to_json,
     solve_lasso,
     solve_mle,
     solve_slope,
 )
-from .model_select import (
-    CvGrid,
-    CvReport,
-    cross_validate,
+from .model_select import CvGrid, CvReport, cross_validate, split_paths
+from .files import (
+    bundle_to_csv,
+    load_bundle,
     report_to_csv,
     report_to_json,
-    split_paths,
+    result_from_json,
+    result_to_json,
+    save_bundle,
+    stats_from_json,
+    stats_to_json,
 )
 from .experiments import (
     DriftScheme,

@@ -18,20 +18,13 @@ import sys
 
 from . import __version__
 from .errors import NumericalError, UnsupportedInputError
-from .experiments import (
-    export_figure_data,
-    generate_drift,
-    plan_from_dict,
-    read_arguments,
-    read_value,
-    run_experiment,
-    summarize,
-    to_plain,
+from .experiments import export_figure_data, generate_drift, plan_from_dict, run_experiment, summarize
+from .files import (
+    bundle_to_csv, load_bundle, read_arguments, read_value, report_to_csv, save_bundle, to_plain,
+    write_csv, write_json,
 )
-from .model_select import CvGrid, cross_validate, report_to_csv, split_paths
-from .process import (
-    DriftMatrix, bundle_to_csv, load_bundle, save_bundle, simulate_euler, simulate_exact,
-)
+from .model_select import CvGrid, cross_validate, split_paths
+from .process import DriftMatrix, simulate_euler, simulate_exact
 from .solvers import solve_lasso, solve_mle, solve_slope
 from .suffstats import compute_suffstats
 from .theory import check_concentration, compute_c_infty, kl_between, rate_sweep
@@ -66,14 +59,8 @@ def _load_json(path):
     return document
 
 
-def _write_json(document, path):
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
-        json.dump(document, handle, sort_keys=True)
-        handle.write("\n")
-
-
 def _write_manifest(path, command, resolved_config, seed, started, outputs):
-    _write_json(
+    write_json(
         {
             "command": command,
             "resolved_config": resolved_config,
@@ -187,9 +174,7 @@ def cmd_estimate(args):
         )
         result = cv_report.result
 
-    document = {"estimator_result": result.to_dict(),
-                "cv_report": None if cv_report is None else cv_report.to_dict()}
-    _write_json(document, args.out)
+    write_json({"estimator_result": result, "cv_report": cv_report}, args.out)
     outputs = [args.out]
     if cv_report is not None:
         scores_path = args.out + ".cv.csv"
@@ -235,10 +220,10 @@ def cmd_reproduce(args):
         for row in report.rows
     ]
     timings_path = os.path.join(args.out_dir, "timings.json")
-    _write_json(timings, timings_path)
+    write_json(timings, timings_path)
     outputs.append(timings_path)
     manifest_path = os.path.join(args.out_dir, "manifest.json")
-    _write_manifest(manifest_path, "reproduce", plan.to_dict(), plan.master_seed, started, outputs)
+    _write_manifest(manifest_path, "reproduce", plan, plan.master_seed, started, outputs)
     for line in summarize(report):
         print(line)
     edges = sum(row.grid_edge for row in report.rows)
@@ -279,28 +264,24 @@ def cmd_theory(args):
     seed = arguments.get("seed")
 
     if args.operation == "cinfty":
-        _write_json(result.to_dict(), args.out)
+        write_json(result, args.out)
         print("c_infty[0,0] = %r" % (float(result.c_infty[0, 0]),))
         print("kappa_min = %r, kappa_max = %r, kappa_star = %r"
               % (result.kappa_min, result.kappa_max, result.kappa_star))
     elif args.operation == "concentration":
         rows = to_plain(result)
-        _write_json(rows, args.out)
-        csv_path = args.out + ".csv"
-        with open(csv_path, "w", encoding="ascii", newline="\n") as handle:
-            handle.write(",".join(rows[0]) + "\n")
-            for row in rows:
-                handle.write(",".join(repr(value) for value in row.values()) + "\n")
-        outputs.append(csv_path)
+        write_json(rows, args.out)
+        write_csv(args.out + ".csv", rows[0], [row.values() for row in rows])
+        outputs.append(args.out + ".csv")
         for p in result:
             print("N=%d mean operator deviation %r sandwich frequency %r"
                   % (p.n_paths, p.mean_deviation, p.sandwich_frequency))
     elif args.operation == "rate":
-        _write_json(result.to_dict(), args.out)
+        write_json(result, args.out)
         seed = arguments["plan"].master_seed
         print("fitted exponent %r (expected %r)" % (result.fitted_exponent, result.expected_exponent))
     else:
-        _write_json({"kl": result}, args.out)
+        write_json({"kl": result}, args.out)
         print("kl = %r" % (result,))
 
     _write_manifest(args.out + ".manifest.json", "theory " + args.operation, config, seed,

@@ -15,13 +15,13 @@ in isolation and results do not depend on execution order or thread count.
 import concurrent.futures
 import contextlib
 import dataclasses
-import inspect
 import os
 import sys
 import time
 
 import numpy as np
 
+from .files import from_plain, read_arguments, read_value, to_plain, write_csv  # noqa: F401
 from .model_select import CvGrid, cross_validate
 from .process import DriftMatrix, InitialLaw, mix_seed, path_blocks, path_stream
 from .solvers import SolverConfig, solve_mle
@@ -87,9 +87,12 @@ class ExperimentPlan:
     solver: SolverConfig = SolverConfig()
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 2 for d in dims) or dims != tuple(self.dims):
-            raise ValueError("dims must be a nonempty collection of integers >= 2")
+        try:
+            dims = tuple(read_value(int, d, "dims") for d in self.dims)
+            if not dims or min(dims) < 2:
+                raise ValueError
+        except ValueError:
+            raise ValueError("dims must be a nonempty collection of integers >= 2") from None
         try:
             heatmap_dims = tuple(read_value(int, d, "heatmap_dims") for d in self.heatmap_dims)
         except ValueError:
@@ -105,87 +108,6 @@ class ExperimentPlan:
 
     def to_dict(self):
         return to_plain(self)
-
-
-def to_plain(value):
-    """JSON-ready copy: a dataclass maps to a dict by field, tuples and arrays to lists."""
-    if dataclasses.is_dataclass(value):
-        return {field.name: to_plain(getattr(value, field.name))
-                for field in dataclasses.fields(value)}
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (tuple, list)):
-        return [to_plain(item) for item in value]
-    return value
-
-
-def read_arguments(target, document, name, **readers):
-    """Keyword arguments for ``target`` read from the JSON object ``document``.
-
-    The signature of ``target`` is the schema, and ``name`` labels the
-    object in errors. Keys must be parameters of ``target``, and every
-    parameter without a default must be present. Each value is read by
-    ``read_value`` with its parameter's annotation, or by
-    ``readers[parameter]`` where one is given.
-    """
-    if not isinstance(document, dict):
-        raise ValueError("%s must be a JSON object" % (name,))
-    parameters = inspect.signature(target).parameters
-    unknown = set(document) - set(parameters)
-    if unknown:
-        raise ValueError("unknown %s fields: %s" % (name, ", ".join(sorted(unknown))))
-    missing = [key for key, parameter in parameters.items()
-               if key not in document and parameter.default is inspect.Parameter.empty]
-    if len(missing) == 1:
-        raise ValueError("missing %s field %r" % (name, missing[0]))
-    if missing:
-        raise ValueError("missing %s fields: %s" % (name, ", ".join(missing)))
-    return {key: readers[key](value) if key in readers
-            else read_value(parameters[key].annotation, value, key)
-            for key, value in document.items()}
-
-
-def from_plain(cls, document, name):
-    """Build the dataclass ``cls`` from a JSON object; its fields are the schema."""
-    return cls(**read_arguments(cls, document, name))
-
-
-def read_value(kind, value, key):
-    """Read the JSON value named ``key`` as ``kind``.
-
-    A dataclass is read through ``from_plain``, a tuple from a JSON array,
-    an array from nested lists of numbers (or null), a ``DriftMatrix`` from
-    a square nested list, an int from an integral number (``10.0`` is
-    accepted) and a float from any number; strings and booleans are
-    rejected where a number is expected. Other values pass through.
-    """
-    if kind is np.ndarray and value is None:
-        return None
-    if kind in (np.ndarray, DriftMatrix):
-        try:  # numpy rejects ragged lists with its own ValueError
-            entries = np.array(value)
-            if entries.dtype.kind not in "iuf":
-                raise ValueError
-        except ValueError:
-            raise ValueError("%s must be an array of numbers, got %r" % (key, value)) from None
-        if kind is np.ndarray:
-            return entries.astype(float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError("%s must be a square matrix" % (key,))
-        return DriftMatrix(entries.shape[0], entries)
-    if dataclasses.is_dataclass(kind):
-        return from_plain(kind, value, key)
-    if kind is tuple:
-        if not isinstance(value, list):
-            raise ValueError("%s must be a JSON array, got %r" % (key, value))
-        return tuple(value)
-    if kind in (int, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError("%s must be a number, got %r" % (key, value))
-        if kind is int and isinstance(value, float) and not value.is_integer():
-            raise ValueError("%s must be an integer, got %r" % (key, value))
-        return kind(value)
-    return value
 
 
 def plan_from_dict(document):
@@ -400,13 +322,6 @@ def display_transform(matrix):
     return np.sign(values) * np.log1p(np.abs(values) / 0.01)
 
 
-def _write_matrix_csv(matrix, path):
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
-        for row in matrix:
-            handle.write(",".join(repr(float(v)) for v in row))
-            handle.write("\n")
-
-
 def _ok_values(report, dim, estimator, metric):
     # One metric over the successful replicates of one (dimension, estimator).
     return [getattr(row, metric) for row in report.rows
@@ -443,25 +358,20 @@ def export_figure_data(report, out_dir):
     for metric in ("scaled_l2sq", "scaled_l1"):
         for estimator in _ESTIMATORS:
             path = os.path.join(out_dir, "curve_%s_%s.csv" % (metric, estimator))
-            with open(path, "w", encoding="ascii", newline="\n") as handle:
-                handle.write("d,mean,std\n")
-                for dim in report.plan.dims:
-                    values = _ok_values(report, dim, estimator, metric)
-                    if values:
-                        mean = float(np.mean(values))
-                        std = float(np.std(values))
-                    else:
-                        mean = std = float("nan")
-                    handle.write("%d,%s,%s\n" % (dim, repr(mean), repr(std)))
+            rows = []
+            for dim in report.plan.dims:
+                values = _ok_values(report, dim, estimator, metric) or [float("nan")]
+                rows.append((dim, float(np.mean(values)), float(np.std(values))))
+            write_csv(path, ["d", "mean", "std"], rows)
             written.append(path)
 
     for record in report.heatmaps:
         base = "heatmap_d%d_rep%d_%s" % (record.dim, record.replicate, record.name)
         raw_path = os.path.join(out_dir, base + ".csv")
-        _write_matrix_csv(record.matrix, raw_path)
+        write_csv(raw_path, None, record.matrix.tolist())
         written.append(raw_path)
         display_path = os.path.join(out_dir, base + "_display.csv")
-        _write_matrix_csv(display_transform(record.matrix), display_path)
+        write_csv(display_path, None, display_transform(record.matrix).tolist())
         written.append(display_path)
 
     return written

@@ -8,7 +8,6 @@ quadratic loss. Ties break toward the larger level.
 """
 
 import dataclasses
-import json
 
 import numpy as np
 
@@ -60,28 +59,6 @@ class CvReport:
     def grid_edge(self):
         """Whether the chosen level is the smallest or the largest of the grid."""
         return self.chosen_lambda in (self.scores[0][0], self.scores[-1][0])
-
-    def to_dict(self):
-        return {
-            "chosen_lambda": self.chosen_lambda,
-            "scores": [[float(lam), float(score)] for lam, score in self.scores],
-            "penalty_kind": self.penalty_kind,
-            "result": self.result.to_dict(),
-        }
-
-
-def report_to_json(report, path):
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
-        json.dump(report.to_dict(), handle, sort_keys=True)
-        handle.write("\n")
-
-
-def report_to_csv(report, path):
-    """Two columns, ascending lambda: level and validation loss."""
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write("lambda,validation_loss\n")
-        for lam, score in report.scores:
-            handle.write("%s,%s\n" % (repr(float(lam)), repr(float(score))))
 
 
 def split_paths(paths, n_train):

@@ -30,7 +30,6 @@ line.
 """
 
 import dataclasses
-import json
 
 import numpy as np
 import scipy.linalg
@@ -38,8 +37,6 @@ import scipy.linalg
 from .errors import NumericalError
 
 _MASK64 = (1 << 64) - 1
-
-_BUNDLE_FORMAT = "sparse-ou-paths"
 
 # Bytes of path values in one block. A constant, never derived from the
 # worker count or the number of paths, so that no result depends on either.
@@ -165,7 +162,7 @@ class InitialLaw:
     """
 
     kind: str = "zero"
-    covariance: np.ndarray = None
+    covariance: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in ("zero", "gaussian"):
@@ -438,77 +435,3 @@ def simulate_exact(drift: DriftMatrix, law: InitialLaw, n_paths: int, terminal: 
     """
     return _bundle("exact", drift, law, n_paths, terminal, step, seed)
 
-
-def save_bundle(bundle, path):
-    """Write a bundle to ``path``: one JSON header line, then the payload.
-
-    The payload is the raw little-endian float64 ``values`` array in
-    path-major (C) order.
-    """
-    header = {
-        "format": _BUNDLE_FORMAT,
-        "version": 1,
-        "n_paths": bundle.n_paths,
-        "dim": bundle.dim,
-        "grid_len": bundle.grid_len,
-        "terminal": bundle.terminal,
-        "step": bundle.step,
-        "seed": bundle.seed,
-        "dtype": "<f8",
-        "order": "path-major",
-    }
-    with open(path, "wb") as handle:
-        handle.write(json.dumps(header, sort_keys=True).encode("ascii"))
-        handle.write(b"\n")
-        handle.write(memoryview(np.ascontiguousarray(bundle.values, dtype="<f8")).cast("B"))
-
-
-def load_bundle(path):
-    """Read a bundle written by ``save_bundle``.
-
-    Raises ``OSError`` when the container is truncated or the header is
-    inconsistent with the payload size.
-    """
-    with open(path, "rb") as handle:
-        header_line = handle.readline()
-        payload = handle.read()
-    try:
-        header = json.loads(header_line.decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise OSError("corrupt bundle header in %s: %s" % (path, exc)) from None
-    if not isinstance(header, dict) or header.get("format") != _BUNDLE_FORMAT:
-        raise OSError("not a path bundle container: %s" % (path,))
-    try:
-        n_paths = int(header["n_paths"])
-        dim = int(header["dim"])
-        grid_len = int(header["grid_len"])
-        terminal = float(header["terminal"])
-        step = float(header["step"])
-        seed = int(header["seed"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise OSError("corrupt bundle header in %s: %s" % (path, exc)) from None
-    expected = n_paths * grid_len * dim * 8
-    if len(payload) != expected:
-        raise OSError(
-            "corrupt bundle payload in %s: expected %d bytes, found %d"
-            % (path, expected, len(payload))
-        )
-    # On a little-endian host the array is a view of ``payload``, not a copy.
-    values = np.frombuffer(payload, dtype="<f8").astype(float, copy=False)
-    values = values.reshape(n_paths, grid_len, dim)
-    try:
-        return PathBundle(n_paths, dim, terminal, step, grid_len, seed, values)
-    except ValueError as exc:
-        raise OSError("corrupt bundle header in %s: %s" % (path, exc)) from None
-
-
-def bundle_to_csv(bundle, path):
-    """Export a bundle as CSV with one row per (path, time) pair."""
-    columns = ",".join("x%d" % j for j in range(bundle.dim))
-    times = bundle.times()
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write("path,time,%s\n" % columns)
-        for i in range(bundle.n_paths):
-            for k in range(bundle.grid_len):
-                row = ",".join(repr(float(v)) for v in bundle.values[i, k])
-                handle.write("%d,%s,%s\n" % (i, repr(float(times[k])), row))

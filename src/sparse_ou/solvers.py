@@ -15,7 +15,6 @@ taken instead.
 """
 
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -23,6 +22,7 @@ import numpy as np
 from .errors import NumericalError
 from .process import DriftMatrix
 from .prox import WeightVector, prox_l1, prox_sorted_l1, slope_weights, sorted_l1_norm
+from .suffstats import quadratic
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,49 +52,8 @@ class EstimatorResult:
     objective_history: list
     iterations: int
     converged: bool
-    lambda_used: float
+    lambda_used: float | None
     penalty_kind: str
-
-    def to_dict(self):
-        return {
-            "estimate": [[float(v) for v in row] for row in self.estimate.entries],
-            "dim": self.estimate.dim,
-            "objective_history": [float(v) for v in self.objective_history],
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "lambda_used": self.lambda_used,
-            "penalty_kind": self.penalty_kind,
-        }
-
-    @staticmethod
-    def from_dict(document):
-        entries = np.array(document["estimate"], dtype=float)
-        return EstimatorResult(
-            estimate=DriftMatrix(int(document["dim"]), entries),
-            objective_history=[float(v) for v in document["objective_history"]],
-            iterations=int(document["iterations"]),
-            converged=bool(document["converged"]),
-            lambda_used=None if document["lambda_used"] is None else float(document["lambda_used"]),
-            penalty_kind=str(document["penalty_kind"]),
-        )
-
-
-def result_to_json(result, path):
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
-        json.dump(result.to_dict(), handle, sort_keys=True)
-        handle.write("\n")
-
-
-def result_from_json(path):
-    with open(path, "r", encoding="ascii") as handle:
-        try:
-            document = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise OSError("corrupt result file %s: %s" % (path, exc)) from None
-    try:
-        return EstimatorResult.from_dict(document)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise OSError("corrupt result file %s: %s" % (path, exc)) from None
 
 
 def solve_mle(stats):
@@ -119,7 +78,7 @@ def solve_mle(stats):
         estimate = estimate - np.linalg.solve(stats.c_hat, residual.T).T
     else:
         raise NumericalError("maximum likelihood solve could not reach its residual tolerance")
-    value = _objective(stats, estimate, None)
+    value, _ = quadratic(stats, estimate)
     return EstimatorResult(
         estimate=DriftMatrix(stats.dim, estimate),
         objective_history=[value],
@@ -128,19 +87,6 @@ def solve_mle(stats):
         lambda_used=None,
         penalty_kind="none",
     )
-
-
-def _objective(stats, a, penalty):
-    product = a @ stats.c_hat
-    value = 0.5 * float(np.einsum("ij,ij->", product, a))
-    value -= float(np.einsum("ij,ij->", a, stats.b_hat))
-    if penalty is not None:
-        value += penalty(a)
-    return value
-
-
-def _gradient(stats, a):
-    return a @ stats.c_hat - stats.b_hat
 
 
 def _proximal_path(stats, penalty, prox, config, warm_start, lambda_used, penalty_kind):
@@ -159,18 +105,23 @@ def _proximal_path(stats, penalty, prox, config, warm_start, lambda_used, penalt
             raise ValueError("warm start must have shape (%d, %d)" % (stats.dim, stats.dim))
     momentum_point = current
     momentum = 1.0
-    objective = _objective(stats, current, penalty)
+
+    def evaluate(point):
+        # Objective and loss gradient at ``point``, from one product.
+        value, gradient = quadratic(stats, point)
+        return value + penalty(point), gradient
+
+    def prox_step(point, gradient):
+        return prox(point - gradient / lipschitz, lipschitz)
+
+    objective, gradient = evaluate(current)
     history = [objective]
     iterations = 0
     converged = False
-
-    def prox_step(point):
-        return prox(point - _gradient(stats, point) / lipschitz, lipschitz)
-
     for _ in range(config.max_iters):
         iterations += 1
-        candidate = prox_step(momentum_point)
-        candidate_value = _objective(stats, candidate, penalty)
+        candidate = prox_step(momentum_point, quadratic(stats, momentum_point, value=False)[1])
+        candidate_value, candidate_gradient = evaluate(candidate)
         if candidate_value > objective:
             # Momentum overshoot: restart and take a plain step from the
             # current iterate. With the exact 1/L step it cannot raise the
@@ -178,17 +129,17 @@ def _proximal_path(stats, penalty, prox, config, warm_start, lambda_used, penalt
             # the current iterate on an ulp-sized rise would stall the path
             # at the rounding floor.
             momentum = 1.0
-            candidate = prox_step(current)
-            candidate_value = _objective(stats, candidate, penalty)
+            candidate = prox_step(current, gradient)
+            candidate_value, candidate_gradient = evaluate(candidate)
         momentum_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
         momentum_point = candidate + ((momentum - 1.0) / momentum_next) * (candidate - current)
         previous_value = objective
-        current, objective = candidate, candidate_value
+        current, objective, gradient = candidate, candidate_value, candidate_gradient
         momentum = momentum_next
         history.append(objective)
         decrease = previous_value - objective
         if decrease <= config.rel_tol * max(abs(previous_value), 1e-300):
-            residual = current - prox_step(current)
+            residual = current - prox_step(current, gradient)
             bound = config.rel_tol * (1.0 + float(np.max(np.abs(current))))
             if float(np.max(np.abs(residual))) <= bound:
                 converged = True

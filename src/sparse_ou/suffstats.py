@@ -23,7 +23,6 @@ worker processes for the CPUs, as one product over a whole block would.
 
 import dataclasses
 import functools
-import json
 
 import numpy as np
 
@@ -153,10 +152,18 @@ def loss(stats, candidate):
     a = np.asarray(candidate, dtype=float)
     if a.shape != (stats.dim, stats.dim):
         raise ValueError("candidate must have shape (%d, %d)" % (stats.dim, stats.dim))
-    product = a @ stats.c_hat
-    value = 0.5 * float(np.einsum("ij,ij->", product, a)) - float(np.einsum("ij,ij->", a, stats.b_hat))
-    gradient = product - stats.b_hat
+    value, gradient = quadratic(stats, a)
     return LossReport(value=value, gradient=gradient, lipschitz=stats.curvature_bound)
+
+
+def quadratic(stats, a, value=True):
+    """``loss`` without its checks: the value (``None`` if ``value`` is false)
+    and the gradient at the array ``a``, both from one product ``a @ c_hat``."""
+    product = a @ stats.c_hat
+    if not value:
+        return None, product - stats.b_hat
+    value = 0.5 * float(np.einsum("ij,ij->", product, a)) - float(np.einsum("ij,ij->", a, stats.b_hat))
+    return value, product - stats.b_hat
 
 
 def martingale_term(stats, true_drift):
@@ -171,41 +178,3 @@ def martingale_term(stats, true_drift):
         raise ValueError("true drift must have shape (%d, %d)" % (stats.dim, stats.dim))
     return stats.b_hat - a0 @ stats.c_hat
 
-
-def stats_to_json(stats, path):
-    """Write statistics as JSON with round-trip exact float encoding."""
-    document = {
-        "format": "sparse-ou-suffstats",
-        "version": 1,
-        "dim": stats.dim,
-        "n_paths": stats.n_paths,
-        "terminal": stats.terminal,
-        "step": stats.step,
-        "c_hat": [[float(v) for v in row] for row in stats.c_hat],
-        "b_hat": [[float(v) for v in row] for row in stats.b_hat],
-    }
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
-        json.dump(document, handle, sort_keys=True)
-        handle.write("\n")
-
-
-def stats_from_json(path):
-    """Read statistics written by ``stats_to_json``."""
-    with open(path, "r", encoding="ascii") as handle:
-        try:
-            document = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise OSError("corrupt statistics file %s: %s" % (path, exc)) from None
-    if not isinstance(document, dict) or document.get("format") != "sparse-ou-suffstats":
-        raise OSError("not a statistics file: %s" % (path,))
-    try:
-        return SuffStats(
-            dim=int(document["dim"]),
-            c_hat=np.array(document["c_hat"], dtype=float),
-            b_hat=np.array(document["b_hat"], dtype=float),
-            n_paths=int(document["n_paths"]),
-            terminal=float(document["terminal"]),
-            step=float(document["step"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise OSError("corrupt statistics file %s: %s" % (path, exc)) from None

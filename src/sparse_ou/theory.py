@@ -16,12 +16,12 @@ form.
 
 import dataclasses
 import math
-import numbers
 
 import numpy as np
 
 from .errors import NumericalError, UnsupportedInputError
-from .experiments import ExperimentPlan, generate_drift, holdout_stats, to_plain
+from .experiments import ExperimentPlan, generate_drift, holdout_stats
+from .files import read_value
 from .model_select import cross_validate
 from .process import DriftMatrix, InitialLaw, matrix_exponential, mix_seed, path_blocks, path_stream
 from .suffstats import StatsAccumulator
@@ -50,9 +50,6 @@ class TheoryQuantities:
     spectral_abscissa_abs: float
     eigvec_condition: float
 
-    def to_dict(self):
-        return to_plain(self)
-
 
 @dataclasses.dataclass(frozen=True)
 class ConcentrationPoint:
@@ -72,9 +69,6 @@ class RateCheckReport:
     psi: list
     p: int
 
-    def to_dict(self):
-        return to_plain(self)
-
 
 def _spectral_summaries(a):
     eigvals, eigvecs = np.linalg.eig(a)
@@ -93,7 +87,7 @@ def _spectral_summaries(a):
     return abscissa, condition
 
 
-def compute_c_infty(drift: DriftMatrix, sigma: np.ndarray = None, terminal: float = 1.0):
+def compute_c_infty(drift: DriftMatrix, sigma: np.ndarray | None = None, terminal: float = 1.0):
     """Time-integrated second moment of the path and spectral summaries.
 
     Uses ``C(T) = int_0^T e^{sA} (Sigma + (T - s) I) e^{sA^T} ds``. One block
@@ -188,10 +182,10 @@ def kappa_envelope(quantities, sigma=None, terminal=1.0):
 
 def _sample_sizes(values, name):
     # Integral entries as ints; a string, a boolean or a fraction is an error.
-    if any(isinstance(n, bool) or not isinstance(n, numbers.Real) or not float(n).is_integer()
-           for n in values):
-        raise ValueError("%s must contain integers, got %r" % (name, values))
-    return [int(n) for n in values]
+    try:
+        return [read_value(int, n, name) for n in values]
+    except ValueError:
+        raise ValueError("%s must contain integers, got %r" % (name, values)) from None
 
 
 def check_concentration(drift: DriftMatrix, law: InitialLaw, n_list: tuple, reps: int, seed: int,
