@@ -4,9 +4,10 @@ Subcommands: ``simulate`` (write a path bundle), ``estimate`` (fit one
 estimator to a bundle), ``reproduce`` (run the full benchmark protocol) and
 ``theory`` (population quantities and empirical rate/concentration checks).
 
-Exit codes: 0 success, 2 configuration or schema error, 3 file error,
-4 numerical failure, 5 partial benchmark failure (fewer than 90 percent of
-cells succeeded). Every command writes a manifest JSON recording the
+Exit codes: 0 success, 2 configuration or schema error (``ValueError``),
+3 file error (``OSError``), 4 numerical failure, 5 partial benchmark failure
+(fewer than 90 percent of cells succeeded); ``main`` maps the library's
+exceptions to them. Every command writes a manifest JSON recording the
 resolved configuration, seed, timestamps and output files.
 """
 
@@ -30,14 +31,6 @@ from .suffstats import compute_suffstats
 from .theory import check_concentration, compute_c_infty, kl_between, rate_sweep
 
 
-class CliError(Exception):
-    """Carries an exit code and a user-facing message."""
-
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
-
-
 def _now():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
@@ -47,15 +40,14 @@ def _load_json(path):
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise CliError(3, "cannot read %s: %s" % (path, exc))
+        raise OSError("cannot read %s: %s" % (path, exc)) from None
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CliError(
-            2, "config error in %s at line %d column %d: %s" % (path, exc.lineno, exc.colno, exc.msg)
-        )
+        raise ValueError("config error in %s at line %d column %d: %s"
+                         % (path, exc.lineno, exc.colno, exc.msg)) from None
     if not isinstance(document, dict):
-        raise CliError(2, "config error in %s: expected a JSON object" % (path,))
+        raise ValueError("config error in %s: expected a JSON object" % (path,))
     return document
 
 
@@ -75,20 +67,16 @@ def _write_manifest(path, command, resolved_config, seed, started, outputs):
 
 
 def _resolve_threads(args):
-    if getattr(args, "threads", None) is not None:
-        if args.threads < 1:
-            raise CliError(2, "--threads must be a positive integer")
+    # ``--threads``, else ``SPARSE_OU_THREADS``, else None: one worker per CPU.
+    if args.threads is not None:
         return args.threads
     env = os.environ.get("SPARSE_OU_THREADS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise CliError(2, "SPARSE_OU_THREADS must be an integer, got %r" % (env,))
-        if value < 1:
-            raise CliError(2, "SPARSE_OU_THREADS must be a positive integer")
-        return value
-    return os.cpu_count() or 1
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError("SPARSE_OU_THREADS must be an integer, got %r" % (env,)) from None
 
 
 def _read_drift(document):
@@ -111,7 +99,7 @@ def cmd_simulate(args):
     document = dict(config)
     method = document.pop("method")
     if method not in ("euler", "exact"):
-        raise CliError(2, "field 'method' in %s must be 'euler' or 'exact'" % (args.config,))
+        raise ValueError("field 'method' in %s must be 'euler' or 'exact'" % (args.config,))
     simulate = simulate_euler if method == "euler" else simulate_exact
     arguments = read_arguments(simulate, document, args.config, drift=_read_drift)
     bundle = simulate(**arguments)
@@ -130,43 +118,31 @@ def _parse_grid(text):
         return CvGrid.default()
     parts = text.split(":")
     if len(parts) != 3:
-        raise CliError(2, "--grid expects 'default' or 'LOG10MIN:LOG10MAX:LOG10STEP', got %r" % (text,))
+        raise ValueError("--grid expects 'default' or 'LOG10MIN:LOG10MAX:LOG10STEP', got %r" % (text,))
     try:
         low, high, step = (float(p) for p in parts)
     except ValueError:
-        raise CliError(2, "--grid components must be numbers, got %r" % (text,))
-    try:
-        return CvGrid(log10_min=low, log10_max=high, log10_step=step)
-    except ValueError as exc:
-        raise CliError(2, "invalid --grid: %s" % (exc,))
+        raise ValueError("--grid components must be numbers, got %r" % (text,)) from None
+    return CvGrid(log10_min=low, log10_max=high, log10_step=step)
 
 
 def cmd_estimate(args):
     started = _now()
     bundle = load_bundle(args.bundle)
     if args.method == "mle" and (args.lam is not None or args.grid is not None):
-        raise CliError(2, "method 'mle' takes neither --lambda nor --grid")
-    if args.method in ("lasso", "slope"):
-        if (args.lam is None) == (args.grid is None):
-            raise CliError(2, "method %r needs exactly one of --lambda or --grid" % (args.method,))
-    if args.lam is not None and args.lam < 0:
-        raise CliError(2, "--lambda must be nonnegative")
+        raise ValueError("method 'mle' takes neither --lambda nor --grid")
+    if args.method in ("lasso", "slope") and (args.lam is None) == (args.grid is None):
+        raise ValueError("method %r needs exactly one of --lambda or --grid" % (args.method,))
 
     cv_report = None
     if args.method == "mle":
-        stats = compute_suffstats(bundle)
-        result = solve_mle(stats)
+        result = solve_mle(compute_suffstats(bundle))
     elif args.grid is None:
-        stats = compute_suffstats(bundle)
-        if args.method == "lasso":
-            result = solve_lasso(stats, args.lam)
-        else:
-            result = solve_slope(stats, args.lam)
+        solve = solve_lasso if args.method == "lasso" else solve_slope
+        result = solve(compute_suffstats(bundle), args.lam)
     else:
         grid = _parse_grid(args.grid)
         n_train = args.n_train if args.n_train is not None else max(1, int(round(0.8 * bundle.n_paths)))
-        if not (1 <= n_train < bundle.n_paths):
-            raise CliError(2, "--n-train must be in [1, n_paths - 1], got %r" % (n_train,))
         train, valid = split_paths(bundle, n_train)
         penalty = "l1" if args.method == "lasso" else "sorted_l1"
         cv_report = cross_validate(
@@ -202,7 +178,7 @@ def cmd_reproduce(args):
     try:
         plan = plan_from_dict(plan_config)
     except (TypeError, ValueError) as exc:
-        raise CliError(2, "invalid plan: %s" % (exc,))
+        raise ValueError("invalid plan: %s" % (exc,)) from None
     threads = _resolve_threads(args)
     try:
         os.makedirs(args.out_dir, exist_ok=True)
@@ -211,7 +187,7 @@ def cmd_reproduce(args):
             handle.write("")
         os.remove(probe)
     except OSError as exc:
-        raise CliError(3, "output directory is not writable: %s" % (exc,))
+        raise OSError("output directory is not writable: %s" % (exc,)) from None
     report = run_experiment(plan, threads=threads, verbose=True)
     outputs = export_figure_data(report, args.out_dir)
     timings = [
@@ -231,13 +207,9 @@ def cmd_reproduce(args):
     if edges or nonconverged:
         print("warning: %d hold-out picks on the edge of the grid, %d fits not converged"
               % (edges, nonconverged), file=sys.stderr)
-    cells = {}
-    for row in report.rows:
-        cells.setdefault((row.dim, row.replicate), True)
-        if row.status != "ok":
-            cells[(row.dim, row.replicate)] = False
-    succeeded = sum(1 for ok in cells.values() if ok)
-    fraction = succeeded / len(cells)
+    cells = {(row.dim, row.replicate) for row in report.rows}
+    failed = {(row.dim, row.replicate) for row in report.rows if row.status != "ok"}
+    fraction = (len(cells) - len(failed)) / len(cells)
     if fraction < 0.9:
         print("only %.1f%% of cells succeeded" % (100.0 * fraction), file=sys.stderr)
         return 5
@@ -339,9 +311,6 @@ def main(argv=None):
         return 0 if not exc.code else int(exc.code)
     try:
         return args.func(args)
-    except CliError as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
-        return exc.code
     except UnsupportedInputError as exc:
         print("error: unsupported input: %s" % (exc,), file=sys.stderr)
         return 2

@@ -25,7 +25,7 @@ from .files import from_plain, read_arguments, read_value, to_plain, write_csv  
 from .model_select import CvGrid, cross_validate
 from .process import DriftMatrix, InitialLaw, mix_seed, path_blocks, path_stream
 from .solvers import SolverConfig, solve_mle
-from .suffstats import StatsAccumulator
+from .suffstats import block_stats
 
 # Not called here: the benchmark's tracer patches these names in this module
 # (``tests/test_benchmark_contract.py`` checks that they resolve), and the
@@ -108,6 +108,11 @@ class ExperimentPlan:
 
     def to_dict(self):
         return to_plain(self)
+
+    def drift(self, dim):
+        """The drift of dimension ``dim``: ``generate_drift`` seeded by
+        ``mix_seed(master_seed, 1, dim)``."""
+        return generate_drift(dim, self.scheme, mix_seed(self.master_seed, 1, dim))
 
 
 def plan_from_dict(document):
@@ -217,21 +222,13 @@ def _failed_row(dim, replicate, name, runtime, exc):
 def holdout_stats(drift, plan, n_paths, n_train, seed):
     """Statistics of the first ``n_train`` of ``n_paths`` Euler paths and of the rest.
 
-    The paths stream from ``path_blocks`` into two accumulators by path
-    index; a block that straddles ``n_train`` is split by rows.
+    The paths stream from ``path_blocks`` into ``block_stats``, split at
+    ``n_train`` by path index.
     """
     if not (1 <= n_train < n_paths):
         raise ValueError("n_train must be in [1, n_paths - 1], got %r" % (n_train,))
-    train = StatsAccumulator(drift.dim, plan.terminal, plan.step)
-    valid = StatsAccumulator(drift.dim, plan.terminal, plan.step)
-    for start, block in path_blocks("euler", drift, plan.initial_law, n_paths, plan.terminal,
-                                    plan.step, seed):
-        cut = min(max(n_train - start, 0), len(block))
-        if cut:
-            train.add(block[:cut])
-        if cut < len(block):
-            valid.add(block[cut:])
-    return train.result(), valid.result()
+    blocks = path_blocks("euler", drift, plan.initial_law, n_paths, plan.terminal, plan.step, seed)
+    return block_stats(blocks, drift.dim, plan.terminal, plan.step, n_train)
 
 
 def _run_cell(plan, drift, dim, replicate):
@@ -271,10 +268,6 @@ def _run_cell(plan, drift, dim, replicate):
     return rows, heatmaps
 
 
-def _cell_task(args):
-    return _run_cell(*args)
-
-
 def run_experiment(plan, threads=1, verbose=False):
     """Execute the benchmark described by ``plan``.
 
@@ -282,9 +275,9 @@ def run_experiment(plan, threads=1, verbose=False):
     ----------
     plan : ExperimentPlan
     threads : int
-        Worker processes for independent (dimension, replicate) cells.
-        Results are assembled in a fixed order, so any value yields
-        identical output.
+        Worker processes for independent (dimension, replicate) cells, at
+        least 1; ``None`` means one per CPU. Results are assembled in a
+        fixed order, so any value yields identical output.
     verbose : bool
         Print one progress line per dimension to stderr.
 
@@ -292,22 +285,21 @@ def run_experiment(plan, threads=1, verbose=False):
     -------
     ExperimentReport
     """
-    drifts = {
-        dim: generate_drift(dim, plan.scheme, mix_seed(plan.master_seed, 1, dim))
-        for dim in plan.dims
-    }
-    cells = [(plan, drifts[dim], dim, replicate)
-             for dim in plan.dims for replicate in range(plan.replicates)]
     if threads is None:
         threads = os.cpu_count() or 1
-    threads = max(1, min(int(threads), len(cells)))
+    if threads < 1:
+        raise ValueError("threads must be a positive integer, got %r" % (threads,))
+    drifts = {dim: plan.drift(dim) for dim in plan.dims}
+    cells = [(plan, drifts[dim], dim, replicate)
+             for dim in plan.dims for replicate in range(plan.replicates)]
+    threads = min(int(threads), len(cells))
     rows = []
     heatmaps = []
     # One worker runs the cells in this process, so a caller's patches and
     # profilers see them.
     with (concurrent.futures.ProcessPoolExecutor(max_workers=threads) if threads > 1
           else contextlib.nullcontext()) as pool:
-        outcomes = (pool.map if pool else map)(_cell_task, cells)
+        outcomes = (pool.map if pool else map)(_run_cell, *zip(*cells))
         for (_, _, dim, replicate), (cell_rows, cell_maps) in zip(cells, outcomes):
             rows.extend(cell_rows)
             heatmaps.extend(cell_maps)
@@ -341,18 +333,11 @@ def export_figure_data(report, out_dir):
     written = []
 
     rows_path = os.path.join(out_dir, "rows.csv")
-    with open(rows_path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write("d,replicate,estimator,scaled_l2sq,scaled_l1,support_f1,lambda,status\n")
-        for row in report.rows:
-            handle.write(
-                "%d,%d,%s,%s,%s,%s,%s,%s\n"
-                % (
-                    row.dim, row.replicate, row.estimator,
-                    repr(float(row.scaled_l2sq)), repr(float(row.scaled_l1)),
-                    repr(float(row.support_f1)), repr(float(row.lambda_used)),
-                    '"%s"' % row.status.replace('"', "'"),
-                )
-            )
+    write_csv(rows_path, ["d", "replicate", "estimator", "scaled_l2sq", "scaled_l1", "support_f1",
+                          "lambda", "status"],
+              [(row.dim, row.replicate, row.estimator, float(row.scaled_l2sq), float(row.scaled_l1),
+                float(row.support_f1), float(row.lambda_used),
+                '"%s"' % row.status.replace('"', "'")) for row in report.rows])
     written.append(rows_path)
 
     for metric in ("scaled_l2sq", "scaled_l1"):

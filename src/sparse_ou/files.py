@@ -133,12 +133,14 @@ def write_json(value, path):
 
 
 def write_csv(path, header, rows):
-    """Write the ``header`` names, if any, then ``rows`` of Python numbers by ``repr``."""
+    """Write the ``header`` names, if any, then ``rows``: strings as given,
+    Python numbers by ``repr``."""
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         if header:
             handle.write(",".join(header) + "\n")
         for row in rows:
-            handle.write(",".join(repr(value) for value in row) + "\n")
+            handle.write(",".join(value if isinstance(value, str) else repr(value)
+                                  for value in row) + "\n")
 
 
 def _decode(path, text, header, build):

@@ -25,6 +25,8 @@ class CvGrid:
     log10_step: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.log10_min, self.log10_max, self.log10_step])):
+            raise ValueError("grid bounds and step must be finite")
         if not (self.log10_min <= self.log10_max):
             raise ValueError("log10_min must not exceed log10_max")
         if self.log10_step <= 0:
@@ -77,7 +79,7 @@ def split_paths(paths, n_train):
     return train, valid
 
 
-def cross_validate(train_stats, valid_stats, grid, penalty="l1", weights=None, config=None):
+def cross_validate(train_stats, valid_stats, grid, penalty="l1", config=None):
     """Fit along the grid and keep the level with the best validation loss.
 
     Parameters
@@ -86,8 +88,7 @@ def cross_validate(train_stats, valid_stats, grid, penalty="l1", weights=None, c
         Statistics of the training and validation paths.
     grid : CvGrid
     penalty : {"l1", "sorted_l1"}
-    weights : WeightVector, optional
-        Only used by the sorted-l1 penalty.
+        The sorted-l1 penalty takes ``solve_slope``'s default weights.
     config : SolverConfig, optional
 
     Returns
@@ -109,7 +110,7 @@ def cross_validate(train_stats, valid_stats, grid, penalty="l1", weights=None, c
             if penalty == "l1":
                 fit = solve_lasso(train_stats, lam, config=config, warm_start=warm)
             else:
-                fit = solve_slope(train_stats, lam, weights=weights, config=config, warm_start=warm)
+                fit = solve_slope(train_stats, lam, config=config, warm_start=warm)
         except Exception as exc:
             # Name the level without calling the constructor, whose signature
             # is unknown: the same type and ``__dict__``, chained. Fields kept

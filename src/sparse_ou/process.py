@@ -214,8 +214,6 @@ class PathBundle:
             raise ValueError("step and terminal must be positive")
         if self.grid_len != _grid_length(self.terminal, self.step):
             raise ValueError("grid_len inconsistent with terminal and step")
-        if not (self.grid_len * self.step >= self.terminal >= (self.grid_len - 1) * self.step - 1e-12):
-            raise ValueError("time grid does not cover [0, terminal]")
         values = np.asarray(self.values, dtype=float)
         if values.shape != (self.n_paths, self.grid_len, self.dim):
             raise ValueError(
@@ -237,15 +235,11 @@ def _grid_length(terminal, step):
     return int(rounded) + 1
 
 
-def _psd_factor(matrix, relative_floor=1e-12):
+def _psd_factor(matrix):
     # Symmetric eigendecomposition based factor S with S S^T = matrix.
     # Tiny negative eigenvalues (roundoff of a PSD matrix) are clipped to 0.
-    sym = 0.5 * (matrix + matrix.T)
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    top = max(float(eigvals.max()), 0.0) if eigvals.size else 0.0
-    eigvals = np.where(eigvals > relative_floor * top, eigvals, np.maximum(eigvals, 0.0))
-    eigvals = np.clip(eigvals, 0.0, None)
-    return eigvecs * np.sqrt(eigvals)
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (matrix + matrix.T))
+    return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
 def matrix_exponential(matrix):

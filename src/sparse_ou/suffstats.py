@@ -11,14 +11,14 @@ through increments). They are all an estimator needs: the average negative
 log-likelihood of a candidate drift ``A``, up to an additive constant not
 depending on ``A``, is ``0.5 * tr(A c_hat A^T) - <A, b_hat>``.
 
-Both sums are additive over paths. ``StatsAccumulator`` keeps them as
-running sums plus a path count and takes blocks of paths as
-``process.path_blocks`` yields them, so statistics never need the whole path
-array. A block adds, for each grid step ``k``, the ``(rows, d)`` products
-``x_k^T x_k`` and ``dx_k^T x_k``. Products this small stay on one BLAS
-thread (measured with OpenBLAS up to d = 50; at d = 100 they start to
-thread), so the reduction does not compete with simulation or with other
-worker processes for the CPUs, as one product over a whole block would.
+Both sums are additive over paths. ``block_stats`` reduces blocks of paths,
+as ``process.path_blocks`` yields them, to running sums plus a path count,
+so statistics never need the whole path array. A block adds, for each grid
+step ``k``, the ``(rows, d)`` products ``x_k^T x_k`` and ``dx_k^T x_k``.
+Products this small stay on one BLAS thread (measured with OpenBLAS up to
+d = 50; at d = 100 they start to thread), so the reduction does not compete
+with simulation or with other worker processes for the CPUs, as one product
+over a whole block would.
 """
 
 import dataclasses
@@ -79,42 +79,42 @@ class LossReport:
     lipschitz: float
 
 
-class StatsAccumulator:
-    """Running sums of the statistics over blocks of paths on one grid.
+def block_stats(blocks, dim, terminal, step, n_train=None):
+    """Reduce blocks of paths on one grid to their sufficient statistics.
 
-    ``add`` takes paths of shape ``(rows, grid_len, dim)``; ``result``
-    returns the ``SuffStats`` of every path added so far. The sums, and so
-    their bits, depend on how the paths were cut into blocks and in what
-    order they came, never on anything else.
+    ``blocks`` holds pairs ``(first path index, block)`` with ``block`` of
+    shape ``(rows, grid_len, dim)``, as ``process.path_blocks`` yields them.
+    Returns the ``SuffStats`` of every path, or with ``n_train`` the pair
+    for the paths before index ``n_train`` and for the rest; a block that
+    straddles ``n_train`` is split by rows. The sums, and so their bits,
+    depend on how the paths were cut into blocks and in what order they
+    came, never on anything else.
     """
-
-    def __init__(self, dim, terminal, step):
-        self.dim = dim
-        self.terminal = float(terminal)
-        self.step = float(step)
-        self.n_paths = 0
-        self.c_sum = np.zeros((dim, dim))
-        self.b_sum = np.zeros((dim, dim))
-
-    def add(self, block):
-        increment = np.empty((len(block), self.dim))
-        for k in range(block.shape[1] - 1):
-            x = block[:, k]
-            np.subtract(block[:, k + 1], x, out=increment)
-            self.c_sum += x.T @ x
-            self.b_sum += increment.T @ x
-        self.n_paths += len(block)
-
-    def result(self):
-        return SuffStats(self.dim, self.c_sum * (self.step / self.n_paths),
-                         self.b_sum / self.n_paths, self.n_paths, self.terminal, self.step)
+    parts = 1 if n_train is None else 2
+    c_sums = np.zeros((parts, dim, dim))
+    b_sums = np.zeros((parts, dim, dim))
+    counts = [0] * parts
+    for start, block in blocks:
+        cut = len(block) if n_train is None else min(max(n_train - start, 0), len(block))
+        for part, rows in enumerate((block[:cut], block[cut:])[:parts]):
+            if not len(rows):
+                continue
+            increment = np.empty((len(rows), dim))
+            for k in range(block.shape[1] - 1):
+                x = rows[:, k]
+                np.subtract(rows[:, k + 1], x, out=increment)
+                c_sums[part] += x.T @ x
+                b_sums[part] += increment.T @ x
+            counts[part] += len(rows)
+    stats = tuple(SuffStats(dim, c_sums[part] * (step / counts[part]), b_sums[part] / counts[part],
+                            counts[part], float(terminal), float(step)) for part in range(parts))
+    return stats[0] if n_train is None else stats
 
 
 def compute_suffstats(paths):
     """Reduce a ``PathBundle`` to its sufficient statistics.
 
-    The bundle is added to a ``StatsAccumulator`` in blocks of
-    ``block_rows`` paths.
+    The bundle goes to ``block_stats`` in blocks of ``block_rows`` paths.
 
     Parameters
     ----------
@@ -124,11 +124,10 @@ def compute_suffstats(paths):
     -------
     SuffStats
     """
-    stats = StatsAccumulator(paths.dim, paths.terminal, paths.step)
     rows = block_rows(paths.grid_len, paths.dim)
-    for start in range(0, paths.n_paths, rows):
-        stats.add(paths.values[start:start + rows])
-    return stats.result()
+    return block_stats(((start, paths.values[start:start + rows])
+                        for start in range(0, paths.n_paths, rows)),
+                       paths.dim, paths.terminal, paths.step)
 
 
 def loss(stats, candidate):

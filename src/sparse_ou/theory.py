@@ -20,11 +20,11 @@ import math
 import numpy as np
 
 from .errors import NumericalError, UnsupportedInputError
-from .experiments import ExperimentPlan, generate_drift, holdout_stats
+from .experiments import ExperimentPlan, holdout_stats
 from .files import read_value
 from .model_select import cross_validate
 from .process import DriftMatrix, InitialLaw, matrix_exponential, mix_seed, path_blocks, path_stream
-from .suffstats import StatsAccumulator
+from .suffstats import block_stats
 
 # Not called here: the benchmark's tracer patches these names in this module
 # (``tests/test_benchmark_contract.py`` checks that they resolve), and the
@@ -217,11 +217,9 @@ def check_concentration(drift: DriftMatrix, law: InitialLaw, n_list: tuple, reps
         deviations = []
         hits = 0
         for replicate in range(reps):
-            stats = StatsAccumulator(drift.dim, terminal, step)
-            for _, block in path_blocks(sampler, drift, law, n_paths, terminal, step,
-                                        mix_seed(seed, 4, n_paths, replicate)):
-                stats.add(block)
-            stats = stats.result()
+            blocks = path_blocks(sampler, drift, law, n_paths, terminal, step,
+                                 mix_seed(seed, 4, n_paths, replicate))
+            stats = block_stats(blocks, drift.dim, terminal, step)
             deviations.append(float(np.linalg.norm(stats.c_hat - quantities.c_infty, 2)))
             spectrum = np.linalg.eigvalsh(stats.c_hat)
             if spectrum[0] >= band_low and spectrum[-1] <= band_high:
@@ -247,8 +245,8 @@ def rate_sweep(axis: str, plan: ExperimentPlan, points: tuple, reps: int, p: int
         horizon, step and master seed. The drift is drawn once and reused
         across all points.
     points : sequence of int
-        Training sample sizes, each divisible by 4 (a quarter is added as
-        validation paths).
+        Training sample sizes ``N``, each at least 8; ``max(N // 4, 8)``
+        validation paths are added to each.
     reps : int
         Replicates per point.
     p : {1, 2}
@@ -272,7 +270,7 @@ def rate_sweep(axis: str, plan: ExperimentPlan, points: tuple, reps: int, p: int
     if len(sizes) < 2 or any(n < 8 for n in sizes):
         raise ValueError("points must contain at least two sample sizes >= 8")
     dim = plan.dims[0]
-    drift = generate_drift(dim, plan.scheme, mix_seed(plan.master_seed, 1, dim))
+    drift = plan.drift(dim)
     sparsity = drift.nnz
     means = []
     for n_train in sizes:

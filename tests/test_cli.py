@@ -198,6 +198,32 @@ class TestEstimate:
         assert document["estimator_result"]["penalty_kind"] == "l1"
         assert document["estimator_result"]["lambda_used"] == 0.05
 
+    def test_fixed_lambda_slope(self, tmp_path):
+        bundle = _make_bundle(tmp_path, n_paths=60)
+        out = str(tmp_path / "fit.json")
+        rc = main(
+            ["estimate", "--bundle", bundle, "--method", "slope", "--lambda", "0.05", "--out", out]
+        )
+        assert rc == 0
+        document = json.loads((tmp_path / "fit.json").read_text())
+        assert document["estimator_result"]["penalty_kind"] == "sorted_l1"
+        assert document["estimator_result"]["lambda_used"] == 0.05
+
+    # The library's own checks reject these; the command line maps them to 2.
+    @pytest.mark.parametrize("selector, message", [
+        (["--lambda", "-1"], "lam must be nonnegative"),
+        (["--grid=0:-1:1"], "log10_min must not exceed log10_max"),
+        (["--grid=a:b:c"], "--grid components must be numbers"),
+        (["--grid=-3:inf:1"], "grid bounds and step must be finite"),
+    ], ids=["negative_lambda", "reversed_grid", "non_numeric_grid", "infinite_grid"])
+    def test_invalid_selector_value(self, tmp_path, capsys, selector, message):
+        bundle = _make_bundle(tmp_path)
+        out = str(tmp_path / "fit.json")
+        rc = main(["estimate", "--bundle", bundle, "--method", "lasso", *selector, "--out", out])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
     def test_grid_selection_writes_cv_outputs(self, tmp_path, capsys):
         document = _simulate_config(n_paths=120)
         document["drift"] = {"generator": {"dim": 6, "seed": 4}}
@@ -381,6 +407,10 @@ class TestReproduce:
         monkeypatch.setenv("SPARSE_OU_THREADS", "many")
         rc = main(["reproduce", "--plan", plan, "--out-dir", str(tmp_path / "s")])
         assert rc == 2
+        monkeypatch.setenv("SPARSE_OU_THREADS", "0")
+        rc = main(["reproduce", "--plan", plan, "--out-dir", str(tmp_path / "s")])
+        assert rc == 2
+        assert not (tmp_path / "s" / "rows.csv").exists()
 
 
 class TestTheory:

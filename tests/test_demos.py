@@ -1,6 +1,7 @@
-"""The demo scripts run to completion from a clean working directory."""
+"""The demo scripts and README's python blocks run from a clean working directory."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,15 @@ import pytest
 import sparse_ou
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
+README = DEMOS.parent / "README.md"
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.DOTALL)
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    for number, block in enumerate(blocks):
+        exec(compile(block, "README.md python block %d" % number, "exec"), {})
 
 
 @pytest.mark.parametrize("script", sorted(path.name for path in DEMOS.glob("*.py")))

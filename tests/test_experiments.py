@@ -148,6 +148,11 @@ class TestRunExperiment:
         for ha, hb in zip(serial.heatmaps, parallel.heatmaps):
             assert np.array_equal(ha.matrix, hb.matrix)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads must be a positive integer"):
+            run_experiment(_tiny_plan(), threads=threads)
+
     def test_failed_cell_is_marked_not_fatal(self, monkeypatch):
         import sparse_ou.experiments as experiments
 

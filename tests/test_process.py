@@ -37,6 +37,16 @@ class TestGrid:
         assert times[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(np.diff(times), 0.01)
 
+    def test_horizon_within_the_grid_tolerance_is_simulated(self):
+        # 0.9999999999 / 0.01 rounds to 100 steps within the grid rule's
+        # relative 1e-9, so the bundle holds the 101-point paths the blocks yield.
+        drift = _scalar_drift(-0.5)
+        bundle = simulate_euler(drift, InitialLaw(), 3, 0.9999999999, 0.01, seed=6)
+        blocks = [block.copy() for _, block in path_blocks(
+            "euler", drift, InitialLaw(), 3, 0.9999999999, 0.01, seed=6)]
+        assert bundle.grid_len == 101
+        assert np.array_equal(bundle.values, np.concatenate(blocks))
+
     def test_non_divisible_step_rejected(self):
         with pytest.raises(ValueError):
             simulate_euler(_scalar_drift(0.0), InitialLaw(), 2, 1.0, 0.03, seed=0)
