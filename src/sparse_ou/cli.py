@@ -19,7 +19,9 @@ import sys
 
 from . import __version__
 from .errors import NumericalError, UnsupportedInputError
-from .experiments import export_figure_data, generate_drift, plan_from_dict, run_experiment, summarize
+from .experiments import (
+    export_figure_data, generate_drift, plan_from_dict, run_experiment, summarize, worker_count,
+)
 from .files import (
     bundle_to_csv, load_bundle, read_arguments, read_value, report_to_csv, save_bundle, to_plain,
     write_csv, write_json,
@@ -179,7 +181,8 @@ def cmd_reproduce(args):
         plan = plan_from_dict(plan_config)
     except (TypeError, ValueError) as exc:
         raise ValueError("invalid plan: %s" % (exc,)) from None
-    threads = _resolve_threads(args)
+    # Check the worker count before the write probe creates the directory.
+    threads = worker_count(_resolve_threads(args))
     try:
         os.makedirs(args.out_dir, exist_ok=True)
         probe = os.path.join(args.out_dir, ".write_probe")

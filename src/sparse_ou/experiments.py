@@ -268,6 +268,15 @@ def _run_cell(plan, drift, dim, replicate):
     return rows, heatmaps
 
 
+def worker_count(threads):
+    """Worker processes for ``threads``: ``None`` means one per CPU, below 1 raises ``ValueError``."""
+    if threads is None:
+        return os.cpu_count() or 1
+    if threads < 1:
+        raise ValueError("threads must be a positive integer, got %r" % (threads,))
+    return int(threads)
+
+
 def run_experiment(plan, threads=1, verbose=False):
     """Execute the benchmark described by ``plan``.
 
@@ -285,14 +294,11 @@ def run_experiment(plan, threads=1, verbose=False):
     -------
     ExperimentReport
     """
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads < 1:
-        raise ValueError("threads must be a positive integer, got %r" % (threads,))
+    threads = worker_count(threads)
     drifts = {dim: plan.drift(dim) for dim in plan.dims}
     cells = [(plan, drifts[dim], dim, replicate)
              for dim in plan.dims for replicate in range(plan.replicates)]
-    threads = min(int(threads), len(cells))
+    threads = min(threads, len(cells))
     rows = []
     heatmaps = []
     # One worker runs the cells in this process, so a caller's patches and

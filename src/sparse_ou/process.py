@@ -16,19 +16,21 @@ paths are requested or on any batching or threading.
 
 ``path_blocks`` runs the paths in blocks of ``block_rows(grid_len, dim)``
 consecutive paths, about ``BLOCK_BYTES`` of path values each, and yields
-each block as a view of one reused buffer. A block draws its normals into a
-second reused buffer, runs the recursion while that buffer is still in
-cache, and checks its paths for overflow. Every block of a run has the same
-number of rows, at least ``_MIN_BLOCK_ROWS``: the rows past the last path
-are zero padding, never drawn and never yielded. Every matrix product thus
-has one shape, and a path's values depend neither on which block it falls
-in nor on how many paths are requested. The statistics (``suffstats``) are
-reduced from these blocks as they come, so the estimators and the theory
-checks never hold more than one block; ``simulate_euler`` and
-``simulate_exact`` collect the blocks into a ``PathBundle`` for the command
-line.
+each block as a view of one reused, time-major buffer: step ``k`` of the
+block is one contiguous ``(rows, dim)`` array. One helper thread draws the
+next block's normals (the draws release the interpreter lock) while the
+calling thread advances the current block, checks it for overflow and hands
+it on. Every block of a run has the same number of rows, at least
+``_MIN_BLOCK_ROWS``: the rows past the last path are zero padding, never
+drawn and never yielded. Every matrix product thus has one shape, and a
+path's values depend neither on which block it falls in nor on how many
+paths are requested. The statistics (``suffstats``) are reduced from these
+blocks as they come, so the estimators and the theory checks never hold more
+than one block; ``simulate_euler`` and ``simulate_exact`` collect the blocks
+into a ``PathBundle`` for the command line.
 """
 
+import concurrent.futures
 import dataclasses
 
 import numpy as np
@@ -311,9 +313,9 @@ def _euler_advance(drift, step):
 
     def advance(paths, normals):
         normals *= scale
-        for k in range(paths.shape[1] - 1):
-            state = paths[:, k]
-            paths[:, k + 1] = state + step * (state @ a.T) + normals[:, k]
+        for k in range(len(paths) - 1):
+            state = paths[k]
+            paths[k + 1] = state + step * (state @ a.T) + normals[:, k]
 
     return advance
 
@@ -324,8 +326,8 @@ def _exact_advance(drift, step):
     noise_factor = _psd_factor(gramian)
 
     def advance(paths, normals):
-        for k in range(paths.shape[1] - 1):
-            paths[:, k + 1] = paths[:, k] @ transition.T + normals[:, k] @ noise_factor.T
+        for k in range(len(paths) - 1):
+            paths[k + 1] = paths[k] @ transition.T + normals[:, k] @ noise_factor.T
 
     return advance
 
@@ -341,7 +343,13 @@ def path_blocks(method, drift, law, n_paths, terminal, step, seed):
     ``(rows, grid_len, dim)`` and holds the consecutive paths from the
     first index on. It is a view of a buffer that the next block
     overwrites, so use or copy it before advancing the iterator. The
+    buffer is stored time-major, so ``block[:, k]`` is contiguous. The
     arguments are checked before the first block is asked for.
+
+    While the caller holds a block, one helper thread (not configurable)
+    draws the next. Its draws come from the same per-path streams and feed
+    the same products, so the paths are bit-identical to drawing in the
+    calling thread. It is joined when the iterator ends, closes or raises.
     """
     if method not in _ADVANCE:
         raise ValueError("method must be 'euler' or 'exact', got %r" % (method,))
@@ -354,28 +362,39 @@ def path_blocks(method, drift, law, n_paths, terminal, step, seed):
 
     def blocks():
         stream = _path_streams(seed)
-        paths = np.empty((rows, grid_len, drift.dim))
-        normals = np.empty((rows, grid_len - 1, drift.dim))
-        for start in range(0, n_paths, rows):
+        paths = np.empty((grid_len, rows, drift.dim))
+        # Two sets of draw buffers: the helper thread fills one while this
+        # thread advances the block drawn into the other. Two arrays: one
+        # stacked array raised a d = 25 run's peak RSS by 13 MB, not 4 MB.
+        initials = [np.zeros((rows, drift.dim)) for _ in range(2)]
+        normals = [np.empty((rows, grid_len - 1, drift.dim)) for _ in range(2)]
+
+        def draw(start, side):
             count = min(rows, n_paths - start)
             for row in range(count):
                 # The initial draw comes first in a path's stream, then the
                 # step normals, so adding paths never disturbs existing ones.
                 generator = stream(start + row)
-                if init_factor is None:
-                    paths[row, 0] = 0.0
-                else:
-                    paths[row, 0] = init_factor @ generator.standard_normal(drift.dim)
-                generator.standard_normal(out=normals[row])
+                if init_factor is not None:
+                    initials[side][row] = init_factor @ generator.standard_normal(drift.dim)
+                generator.standard_normal(out=normals[side][row])
             # Padding rows start at zero with zero noise and stay zero.
-            paths[count:, 0] = 0.0
-            normals[count:] = 0.0
-            advance(paths, normals)
-            block = paths[:count]
-            if not np.all(np.isfinite(block)):
-                raise NumericalError(
-                    "simulate_%s produced non-finite path values (overflow)" % (method,))
-            yield start, block
+            initials[side][count:] = 0.0
+            normals[side][count:] = 0.0
+
+        with concurrent.futures.ThreadPoolExecutor(1) as helper:
+            pending = helper.submit(draw, 0, 0)
+            for start in range(0, n_paths, rows):
+                side = start // rows % 2
+                pending.result()
+                if start + rows < n_paths:
+                    pending = helper.submit(draw, start + rows, 1 - side)
+                paths[0] = initials[side]
+                advance(paths, normals[side])
+                if not np.all(np.isfinite(paths)):
+                    raise NumericalError(
+                        "simulate_%s produced non-finite path values (overflow)" % (method,))
+                yield start, paths[:, :min(rows, n_paths - start)].swapaxes(0, 1)
 
     return blocks()
 

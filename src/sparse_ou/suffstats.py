@@ -16,9 +16,10 @@ as ``process.path_blocks`` yields them, to running sums plus a path count,
 so statistics never need the whole path array. A block adds, for each grid
 step ``k``, the ``(rows, d)`` products ``x_k^T x_k`` and ``dx_k^T x_k``.
 Products this small stay on one BLAS thread (measured with OpenBLAS up to
-d = 50; at d = 100 they start to thread), so the reduction does not compete
-with simulation or with other worker processes for the CPUs, as one product
-over a whole block would.
+d = 50; at d = 100 they start to thread), so the reduction takes one CPU:
+it shares the host with ``path_blocks``' draw thread and with other worker
+processes, where one threaded product over a whole block would contend
+with both.
 """
 
 import dataclasses

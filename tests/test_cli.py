@@ -412,6 +412,16 @@ class TestReproduce:
         assert rc == 2
         assert not (tmp_path / "s" / "rows.csv").exists()
 
+    @pytest.mark.parametrize("argv, env", [(["--threads", "0"], None), (["--threads", "-3"], None),
+                                           ([], "0")])
+    def test_rejected_worker_count_creates_no_directory(self, tmp_path, monkeypatch, argv, env):
+        if env is not None:
+            monkeypatch.setenv("SPARSE_OU_THREADS", env)
+        plan = _write_config(tmp_path, "plan.json", self.PLAN)
+        rc = main(["reproduce", "--plan", plan, "--out-dir", str(tmp_path / "t0"), *argv])
+        assert rc == 2
+        assert not (tmp_path / "t0").exists()
+
 
 class TestTheory:
     def test_cinfty_scalar_anchor(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Path simulation, matrix exponentials, and bundle serialization."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -291,12 +293,51 @@ class TestPathBlocks:
         expected = unblocked_euler(drift.entries, n_paths, grid_len, self.STEP, seed=5)
         assert np.array_equal(bundle.values, expected)
 
-    @pytest.mark.parametrize("sampler, rate", [(simulate_euler, 1e6), (simulate_exact, 800.0)])
-    def test_exploding_drift_raises(self, sampler, rate):
+    @pytest.mark.parametrize("sampler, rate, n_paths", [
+        pytest.param(simulate_euler, 1e6, 5, id="simulate_euler-1000000.0"),
+        pytest.param(simulate_exact, 800.0, 5, id="simulate_exact-800.0"),
+        # Two blocks: the overflow of the first surfaces while the helper
+        # thread draws the second.
+        pytest.param(simulate_euler, 1e6, block_rows(101, 2) + 1, id="simulate_euler-1000000.0-blocks"),
+        pytest.param(simulate_exact, 800.0, block_rows(101, 2) + 1, id="simulate_exact-800.0-blocks"),
+    ])
+    def test_exploding_drift_raises(self, sampler, rate, n_paths):
         drift = DriftMatrix(2, rate * np.eye(2))
+        threads = threading.active_count()
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 NumericalError, match="non-finite path values"):
-            sampler(drift, InitialLaw(), 5, 1.0, 0.01, seed=1)
+            sampler(drift, InitialLaw(), n_paths, 1.0, 0.01, seed=1)
+        assert threading.active_count() == threads
+
+    def test_closing_after_the_first_block_joins_the_helper_thread(self):
+        grid_len = round(self.TERMINAL / self.STEP) + 1
+        threads = threading.active_count()
+        blocks = path_blocks("exact", self._drift(), InitialLaw(), 2 * block_rows(grid_len, self.DIM),
+                             self.TERMINAL, self.STEP, seed=4)
+        next(blocks)
+        blocks.close()
+        assert threading.active_count() == threads
+
+    def test_consumer_error_joins_the_helper_thread(self):
+        grid_len = round(self.TERMINAL / self.STEP) + 1
+        threads = threading.active_count()
+
+        def consume():
+            for _ in path_blocks("euler", self._drift(), InitialLaw(), 3 * block_rows(grid_len, self.DIM),
+                                 self.TERMINAL, self.STEP, seed=4):
+                raise KeyError("consumer")
+
+        with pytest.raises(KeyError, match="consumer"):
+            consume()
+        assert threading.active_count() == threads
+
+    def test_block_steps_are_contiguous(self):
+        # The buffer is time-major, so each step of a block, full or last,
+        # is one contiguous (rows, dim) array.
+        grid_len = round(self.TERMINAL / self.STEP) + 1
+        for _, block in path_blocks("euler", self._drift(), InitialLaw(), block_rows(grid_len, self.DIM) + 1,
+                                    self.TERMINAL, self.STEP, seed=6):
+            assert all(block[:, k].flags.c_contiguous for k in range(grid_len))
 
 
 class TestSerialization:
