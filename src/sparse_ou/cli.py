@@ -23,13 +23,13 @@ from .experiments import (
     export_figure_data, generate_drift, plan_from_dict, run_experiment, summarize, worker_count,
 )
 from .files import (
-    bundle_to_csv, load_bundle, read_arguments, read_value, report_to_csv, save_bundle, to_plain,
-    write_csv, write_json,
+    bundle_to_csv, load_bundle, read_arguments, read_bundle, read_value, report_to_csv, to_plain,
+    write_bundle, write_csv, write_json,
 )
-from .model_select import CvGrid, cross_validate, split_paths
-from .process import DriftMatrix, simulate_euler, simulate_exact
+from .model_select import CvGrid, cross_validate
+from .process import DriftMatrix, bundle_blocks
 from .solvers import solve_lasso, solve_mle, solve_slope
-from .suffstats import compute_suffstats
+from .suffstats import block_stats, check_split
 from .theory import check_concentration, compute_c_infty, kl_between, rate_sweep
 
 
@@ -98,20 +98,16 @@ def _read_drift(document):
 def cmd_simulate(args):
     started = _now()
     config = {"law": {}, "method": "euler", **_load_json(args.config)}
-    document = dict(config)
-    method = document.pop("method")
-    if method not in ("euler", "exact"):
-        raise ValueError("field 'method' in %s must be 'euler' or 'exact'" % (args.config,))
-    simulate = simulate_euler if method == "euler" else simulate_exact
-    arguments = read_arguments(simulate, document, args.config, drift=_read_drift)
-    bundle = simulate(**arguments)
-    save_bundle(bundle, args.out)
+    header, blocks = bundle_blocks(**read_arguments(bundle_blocks, config, args.config,
+                                                    drift=_read_drift))
+    write_bundle(args.out, header, blocks)
     outputs = [args.out]
     if args.csv:
-        bundle_to_csv(bundle, args.csv)
+        bundle_to_csv(load_bundle(args.out), args.csv)
         outputs.append(args.csv)
-    _write_manifest(args.out + ".manifest.json", "simulate", config, bundle.seed, started, outputs)
-    print("wrote %d paths (dim %d, grid %d) to %s" % (bundle.n_paths, bundle.dim, bundle.grid_len, args.out))
+    _write_manifest(args.out + ".manifest.json", "simulate", config, header["seed"], started, outputs)
+    print("wrote %d paths (dim %d, grid %d) to %s"
+          % (header["n_paths"], header["dim"], header["grid_len"], args.out))
     return 0
 
 
@@ -130,26 +126,28 @@ def _parse_grid(text):
 
 def cmd_estimate(args):
     started = _now()
-    bundle = load_bundle(args.bundle)
     if args.method == "mle" and (args.lam is not None or args.grid is not None):
         raise ValueError("method 'mle' takes neither --lambda nor --grid")
     if args.method in ("lasso", "slope") and (args.lam is None) == (args.grid is None):
         raise ValueError("method %r needs exactly one of --lambda or --grid" % (args.method,))
+    grid = None if args.grid is None else _parse_grid(args.grid)
+
+    with read_bundle(args.bundle) as (header, blocks):
+        n_train = None
+        if grid is not None:
+            n_train = args.n_train if args.n_train is not None else max(1, int(round(0.8 * header["n_paths"])))
+            check_split(header["n_paths"], n_train)
+        stats = block_stats(blocks, header["dim"], header["terminal"], header["step"], n_train)
 
     cv_report = None
     if args.method == "mle":
-        result = solve_mle(compute_suffstats(bundle))
-    elif args.grid is None:
+        result = solve_mle(stats)
+    elif grid is None:
         solve = solve_lasso if args.method == "lasso" else solve_slope
-        result = solve(compute_suffstats(bundle), args.lam)
+        result = solve(stats, args.lam)
     else:
-        grid = _parse_grid(args.grid)
-        n_train = args.n_train if args.n_train is not None else max(1, int(round(0.8 * bundle.n_paths)))
-        train, valid = split_paths(bundle, n_train)
         penalty = "l1" if args.method == "lasso" else "sorted_l1"
-        cv_report = cross_validate(
-            compute_suffstats(train), compute_suffstats(valid), grid, penalty=penalty
-        )
+        cv_report = cross_validate(*stats, grid, penalty=penalty)
         result = cv_report.result
 
     write_json({"estimator_result": result, "cv_report": cv_report}, args.out)
@@ -165,7 +163,7 @@ def cmd_estimate(args):
         "grid": args.grid,
         "n_train": args.n_train,
     }
-    _write_manifest(args.out + ".manifest.json", "estimate", resolved, bundle.seed, started, outputs)
+    _write_manifest(args.out + ".manifest.json", "estimate", resolved, header["seed"], started, outputs)
     if cv_report is not None:
         print("chosen lambda %r (validation loss %r)"
               % (cv_report.chosen_lambda, dict(cv_report.scores)[cv_report.chosen_lambda]))

@@ -25,7 +25,7 @@ from .files import from_plain, read_arguments, read_value, to_plain, write_csv  
 from .model_select import CvGrid, cross_validate
 from .process import DriftMatrix, InitialLaw, mix_seed, path_blocks, path_stream
 from .solvers import SolverConfig, solve_mle
-from .suffstats import block_stats
+from .suffstats import block_stats, check_split
 
 # Not called here: the benchmark's tracer patches these names in this module
 # (``tests/test_benchmark_contract.py`` checks that they resolve), and the
@@ -101,8 +101,7 @@ class ExperimentPlan:
         object.__setattr__(self, "heatmap_dims", heatmap_dims)
         if self.replicates < 1:
             raise ValueError("replicates must be positive")
-        if not (1 <= self.n_train < self.n_paths):
-            raise ValueError("n_train must be in [1, n_paths - 1]")
+        check_split(self.n_paths, self.n_train)
         if self.support_threshold <= 0:
             raise ValueError("support_threshold must be positive")
 
@@ -225,8 +224,7 @@ def holdout_stats(drift, plan, n_paths, n_train, seed):
     The paths stream from ``path_blocks`` into ``block_stats``, split at
     ``n_train`` by path index.
     """
-    if not (1 <= n_train < n_paths):
-        raise ValueError("n_train must be in [1, n_paths - 1], got %r" % (n_train,))
+    check_split(n_paths, n_train)
     blocks = path_blocks("euler", drift, plan.initial_law, n_paths, plan.terminal, plan.step, seed)
     return block_stats(blocks, drift.dim, plan.terminal, plan.step, n_train)
 

@@ -6,20 +6,22 @@ dataclass's fields are its file's schema. ``write_json`` writes every JSON
 file (sorted keys, ASCII, trailing newline). Every reader raises ``OSError``
 on invalid JSON, an unknown or missing key, a value of the wrong type (no
 coercion), or an unexpected ``format``, ``version``, ``dtype`` or ``order``.
-The formats: path bundles (a JSON header line, then raw float64 values),
-``SuffStats`` statistics, ``EstimatorResult`` results and ``CvReport``
-hold-out reports.
+The formats: path bundles (a JSON header line, then raw float64 values, in
+blocks by ``write_bundle`` and ``read_bundle``), ``SuffStats`` statistics,
+``EstimatorResult`` results and ``CvReport`` hold-out reports.
 """
 
+import contextlib
 import dataclasses
 import inspect
 import json
 import numbers
+import os
 import typing
 
 import numpy as np
 
-from .process import DriftMatrix, PathBundle
+from .process import DriftMatrix, PathBundle, block_rows, collect_bundle
 from .solvers import EstimatorResult
 from .suffstats import SuffStats
 
@@ -159,31 +161,65 @@ def _decode(path, text, header, build):
         raise OSError("cannot read %s: %s" % (path, exc)) from None
 
 
+def write_bundle(path, header, blocks):
+    """Write ``header``, the ``PathBundle`` fields but ``values``, as a JSON line, then the
+    paths of ``blocks`` in path order as raw little-endian float64; on failure, no file."""
+    handle = open(path, "wb")
+    try:
+        with handle:
+            handle.write(_dumps({**_BUNDLE_HEADER, **header}).encode("ascii"))
+            for _, block in blocks:
+                for values in block:  # path by path: a block may be a time-major view
+                    handle.write(memoryview(np.ascontiguousarray(values, dtype="<f8")).cast("B"))
+    except BaseException:
+        os.remove(path)
+        raise
+
+
 def save_bundle(bundle, path):
-    """Write a bundle: a JSON header line, then its values as raw little-endian float64."""
+    """Write a ``PathBundle`` with ``write_bundle``, as one block."""
     header = {field.name: getattr(bundle, field.name)
               for field in dataclasses.fields(PathBundle) if field.name != "values"}
-    with open(path, "wb") as handle:
-        handle.write(_dumps({**_BUNDLE_HEADER, **header}).encode("ascii"))
-        handle.write(memoryview(np.ascontiguousarray(bundle.values, dtype="<f8")).cast("B"))
+    write_bundle(path, header, [(0, bundle.values)])
+
+
+def _read_header(document):
+    # ``values`` is no header key: a JSON value there fails ``np.frombuffer``.
+    header = read_arguments(PathBundle, {"values": b"", **document}, "bundle", values=np.frombuffer)
+    shape = header["n_paths"], header["grid_len"], header["dim"]
+    PathBundle(**{**header, "values": np.broadcast_to(0.0, shape)})
+    del header["values"]
+    return header, shape
+
+
+@contextlib.contextmanager
+def read_bundle(path):
+    """Open a bundle; yield ``(header, blocks)`` as ``write_bundle`` takes them.
+
+    The header is checked by ``PathBundle``'s rules on a zero-stride stand-in
+    for the paths, and the file size against it, before any path is read. The
+    blocks, of ``block_rows`` paths, share one buffer: use each before the next."""
+    with open(path, "rb") as handle:
+        header, (n_paths, grid_len, dim) = _decode(path, handle.readline(), _BUNDLE_HEADER, _read_header)
+        size, expected = os.fstat(handle.fileno()).st_size - handle.tell(), 8 * n_paths * grid_len * dim
+        if size != expected:
+            raise OSError("cannot read %s: %d bytes of paths, expected %d" % (path, size, expected))
+        buffer = np.empty((min(block_rows(grid_len, dim), n_paths), grid_len, dim), dtype="<f8")
+
+        def blocks():
+            for start in range(0, n_paths, len(buffer)):
+                block = buffer[:n_paths - start]
+                if handle.readinto(block) != block.nbytes:
+                    raise OSError("cannot read %s: the file ended early" % (path,))
+                yield start, block
+
+        yield header, blocks()
 
 
 def load_bundle(path):
-    """Read a bundle written by ``save_bundle``."""
-    with open(path, "rb") as handle:
-        header = handle.readline()
-        payload = handle.read()
-
-    def build(document):
-        # A ``values`` key in the header reaches the reader as a JSON value and fails there.
-        fields = read_arguments(PathBundle, {"values": payload, **document}, "bundle",
-                                values=lambda raw: np.frombuffer(raw, dtype="<f8"))
-        # On a little-endian host the array is a view of ``payload``, not a copy.
-        fields["values"] = fields["values"].astype(float, copy=False).reshape(
-            fields["n_paths"], fields["grid_len"], fields["dim"])
-        return PathBundle(**fields)
-
-    return _decode(path, header, _BUNDLE_HEADER, build)
+    """Read a bundle: ``read_bundle``'s blocks, collected."""
+    with read_bundle(path) as streamed:
+        return collect_bundle(*streamed)
 
 
 def bundle_to_csv(bundle, path):

@@ -11,9 +11,8 @@ import dataclasses
 
 import numpy as np
 
-from .process import PathBundle
 from .solvers import EstimatorResult, solve_lasso, solve_slope
-from .suffstats import loss
+from .suffstats import check_split, loss
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,16 +66,12 @@ def split_paths(paths, n_train):
     """Split a bundle into (training prefix, validation suffix) by path index.
 
     Both halves are read-only views of ``paths.values``; nothing is copied.
-    Serves CLI ``estimate``; the experiments split streamed paths by index
-    in ``experiments.holdout_stats`` without building a bundle.
+    For a caller that holds a bundle: the experiments and the command line
+    split streamed paths by index in ``block_stats`` instead.
     """
-    if not (1 <= n_train < paths.n_paths):
-        raise ValueError("n_train must be in [1, n_paths - 1], got %r" % (n_train,))
-    common = dict(dim=paths.dim, terminal=paths.terminal, step=paths.step,
-                  grid_len=paths.grid_len, seed=paths.seed)
-    train = PathBundle(n_paths=n_train, values=paths.values[:n_train], **common)
-    valid = PathBundle(n_paths=paths.n_paths - n_train, values=paths.values[n_train:], **common)
-    return train, valid
+    check_split(paths.n_paths, n_train)
+    return (dataclasses.replace(paths, n_paths=n_train, values=paths.values[:n_train]),
+            dataclasses.replace(paths, n_paths=paths.n_paths - n_train, values=paths.values[n_train:]))
 
 
 def cross_validate(train_stats, valid_stats, grid, penalty="l1", config=None):

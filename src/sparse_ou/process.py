@@ -25,9 +25,9 @@ it on. Every block of a run has the same number of rows, at least
 drawn and never yielded. Every matrix product thus has one shape, and a
 path's values depend neither on which block it falls in nor on how many
 paths are requested. The statistics (``suffstats``) are reduced from these
-blocks as they come, so the estimators and the theory checks never hold more
-than one block; ``simulate_euler`` and ``simulate_exact`` collect the blocks
-into a ``PathBundle`` for the command line.
+blocks as they come, and the command line writes them to bundle files and
+reads them back block by block (``files``). Only ``collect_bundle``, behind
+``simulate_euler``, ``simulate_exact`` and ``load_bundle``, holds them all.
 """
 
 import concurrent.futures
@@ -196,9 +196,9 @@ class PathBundle:
     ``values`` has shape ``(n_paths, grid_len, dim)`` with
     ``values[i, k]`` the state of path ``i`` at time ``k * step``. The array
     is read-only; a split (``split_paths``) holds read-only views of it.
-    Only the command line (``simulate``, ``estimate``, CSV export) builds
-    bundles: the experiments and theory checks reduce ``path_blocks``
-    straight to statistics.
+    The experiments, the theory checks and the command line stream paths as
+    blocks instead; a bundle's other fields are the header of such a stream
+    (``bundle_blocks``, ``files.read_bundle``).
     """
 
     n_paths: int
@@ -399,13 +399,20 @@ def path_blocks(method, drift, law, n_paths, terminal, step, seed):
     return blocks()
 
 
-def _bundle(method, drift, law, n_paths, terminal, step, seed):
+def bundle_blocks(method: str, drift: DriftMatrix, law: InitialLaw, n_paths: int,
+                  terminal: float, step: float, seed: int):
+    """``(header, path_blocks(...))``; the header holds the ``PathBundle`` fields but ``values``."""
     blocks = path_blocks(method, drift, law, n_paths, terminal, step, seed)
-    grid_len = _grid_length(terminal, step)
-    values = np.empty((n_paths, grid_len, drift.dim))
+    return dict(n_paths=n_paths, dim=drift.dim, terminal=float(terminal), step=float(step),
+                grid_len=_grid_length(terminal, step), seed=int(seed)), blocks
+
+
+def collect_bundle(header, blocks):
+    """The ``PathBundle`` of ``header``'s fields holding the ``(first path index, block)`` pairs."""
+    values = np.empty((header["n_paths"], header["grid_len"], header["dim"]))
     for start, block in blocks:
         values[start:start + len(block)] = block
-    return PathBundle(n_paths, drift.dim, float(terminal), float(step), grid_len, int(seed), values)
+    return PathBundle(values=values, **header)
 
 
 def simulate_euler(drift: DriftMatrix, law: InitialLaw, n_paths: int, terminal: float, step: float,
@@ -432,7 +439,7 @@ def simulate_euler(drift: DriftMatrix, law: InitialLaw, n_paths: int, terminal: 
     PathBundle
         The blocks of ``path_blocks("euler", ...)``, collected.
     """
-    return _bundle("euler", drift, law, n_paths, terminal, step, seed)
+    return collect_bundle(*bundle_blocks("euler", drift, law, n_paths, terminal, step, seed))
 
 
 def simulate_exact(drift: DriftMatrix, law: InitialLaw, n_paths: int, terminal: float, step: float,
@@ -446,5 +453,5 @@ def simulate_exact(drift: DriftMatrix, law: InitialLaw, n_paths: int, terminal: 
     Parameters match ``simulate_euler``; the bundle collects the blocks of
     ``path_blocks("exact", ...)``.
     """
-    return _bundle("exact", drift, law, n_paths, terminal, step, seed)
+    return collect_bundle(*bundle_blocks("exact", drift, law, n_paths, terminal, step, seed))
 

@@ -80,6 +80,12 @@ class LossReport:
     lipschitz: float
 
 
+def check_split(n_paths, n_train):
+    """Raise ``ValueError`` unless a split at path ``n_train`` leaves paths on both sides."""
+    if not (1 <= n_train < n_paths):
+        raise ValueError("n_train must be in [1, n_paths - 1], got %r" % (n_train,))
+
+
 def block_stats(blocks, dim, terminal, step, n_train=None):
     """Reduce blocks of paths on one grid to their sufficient statistics.
 
@@ -87,9 +93,9 @@ def block_stats(blocks, dim, terminal, step, n_train=None):
     shape ``(rows, grid_len, dim)``, as ``process.path_blocks`` yields them.
     Returns the ``SuffStats`` of every path, or with ``n_train`` the pair
     for the paths before index ``n_train`` and for the rest; a block that
-    straddles ``n_train`` is split by rows. The sums, and so their bits,
-    depend on how the paths were cut into blocks and in what order they
-    came, never on anything else.
+    straddles ``n_train`` is split by rows, and ``check_split`` rejects an
+    empty side. The sums, and so their bits, depend on how the paths were
+    cut into blocks and in what order they came, never on anything else.
     """
     parts = 1 if n_train is None else 2
     c_sums = np.zeros((parts, dim, dim))
@@ -107,6 +113,8 @@ def block_stats(blocks, dim, terminal, step, n_train=None):
                 c_sums[part] += x.T @ x
                 b_sums[part] += increment.T @ x
             counts[part] += len(rows)
+    if n_train is not None:
+        check_split(sum(counts), n_train)
     stats = tuple(SuffStats(dim, c_sums[part] * (step / counts[part]), b_sums[part] / counts[part],
                             counts[part], float(terminal), float(step)) for part in range(parts))
     return stats[0] if n_train is None else stats

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,17 @@ class TestSimulate:
         out = str(tmp_path / "paths.bin")
         assert main(["simulate", "--config", config, "--out", out]) == 0
         assert load_bundle(out).dim == 4
+
+    @pytest.mark.parametrize("method", ["euler", "exact"])
+    def test_overflow_leaves_no_bundle(self, tmp_path, capsys, method):
+        # The paths pass float64's range part-way, after the header is written.
+        config = _write_config(tmp_path, "sim.json", _simulate_config(
+            method=method, drift={"matrix": [[30.0]]}, terminal=30.0))
+        out = tmp_path / "x.bin"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["simulate", "--config", config, "--out", str(out)]) == 4
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_reruns_byte_identical(self, tmp_path):
         config = _write_config(tmp_path, "sim.json", _simulate_config())
@@ -280,6 +292,16 @@ class TestEstimate:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("selector", [["--method", "mle", "--lambda", "0.1"],
+                                          ["--method", "lasso", "--grid", "oops"]],
+                             ids=["mle_with_lambda", "malformed_grid"])
+    def test_flags_are_checked_before_the_bundle_is_opened(self, tmp_path, capsys, selector):
+        missing = str(tmp_path / "missing.bin")
+        out = tmp_path / "fit.json"
+        assert main(["estimate", "--bundle", missing, *selector, "--out", str(out)]) == 2
+        assert "missing.bin" not in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupt_bundle(self, tmp_path):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"garbage")
@@ -287,6 +309,48 @@ class TestEstimate:
             ["estimate", "--bundle", str(bad), "--method", "mle", "--out", str(tmp_path / "f.json")]
         )
         assert rc == 3
+
+
+class TestStreamedMemory:
+    """``simulate`` and ``estimate`` hold one block of paths, never the bundle."""
+
+    # d = 25 on 101 grid points: 207 paths to a block, 20 blocks, an 80.8 MB payload.
+    N_PATHS, DIM = 4000, 25
+    PAYLOAD_BYTES = N_PATHS * 101 * DIM * 8
+
+    @pytest.fixture(scope="class")
+    def simulated(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("streamed")
+        document = _simulate_config(n_paths=self.N_PATHS)
+        document["drift"] = {"generator": {"dim": self.DIM, "seed": 3}}
+        config = _write_config(tmp_path, "sim.json", document)
+        bundle = str(tmp_path / "paths.bin")
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", config, "--out", bundle]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return bundle, peak
+
+    def test_simulate_peak_stays_far_below_the_payload(self, simulated):
+        bundle, peak = simulated
+        assert os.path.getsize(bundle) > self.PAYLOAD_BYTES
+        assert peak < self.PAYLOAD_BYTES / 4
+
+    @pytest.mark.parametrize("selector", [["--method", "mle"],
+                                          ["--method", "lasso", "--grid=-3:0:0.25"]],
+                             ids=["mle", "lasso_grid"])
+    def test_estimate_peak_stays_far_below_the_payload(self, simulated, tmp_path, selector):
+        bundle, _ = simulated
+        tracemalloc.start()
+        try:
+            rc = main(["estimate", "--bundle", bundle, *selector, "--out", str(tmp_path / "f.json")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < self.PAYLOAD_BYTES / 4
 
 
 class TestReproduce:

@@ -19,6 +19,8 @@ from sparse_ou import (
     stats_to_json,
 )
 from sparse_ou.cli import main
+from sparse_ou.files import read_bundle
+from sparse_ou.process import block_rows
 
 STATS_D1 = (
     '{"b_hat": [[-0.1]], "c_hat": [[0.7071067811865476]], "dim": 1, '
@@ -122,6 +124,8 @@ STRICT_CASES = [
     ("bundle", "version", 9),
     ("bundle", "n_pahts", 2),
     ("bundle", "seed", 1.9),
+    # grid_len 3 no longer matches terminal / step, though the payload size still does.
+    ("bundle", "step", 0.02),
 ]
 BUNDLE_CASES = [case for case in STRICT_CASES if case[0] == "bundle"]
 
@@ -149,3 +153,44 @@ def test_estimate_exits_3_on_a_bundle_it_cannot_read(tmp_path, capsys, reader, k
     out = str(tmp_path / "fit.json")
     assert main(["estimate", "--bundle", str(target), "--method", "mle", "--out", out]) == 3
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [lambda raw: raw[:-8], lambda raw: raw + bytes(8)],
+                         ids=["truncated", "eight_extra_bytes"])
+def test_payload_size_must_match_the_header(tmp_path, capsys, edit):
+    target = tmp_path / "paths.bin"
+    _bundle_file(target)
+    target.write_bytes(edit(target.read_bytes()))
+    with pytest.raises(OSError, match="bytes of paths, expected 48"):
+        load_bundle(target)
+    out = tmp_path / "fit.json"
+    assert main(["estimate", "--bundle", str(target), "--method", "mle", "--out", str(out)]) == 3
+    assert "cannot read" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class TestBlocks:
+    # d = 2 on 2,049 grid points: a block is the fewest rows, 128 paths.
+    DRIFT = DriftMatrix(2, np.array([[-1.0, 0.3], [0.0, -0.5]]))
+
+    @pytest.mark.parametrize("n_paths", [127, 128, 129],
+                             ids=["below_one_block", "one_block", "one_block_plus_one"])
+    def test_bytes_round_trip(self, tmp_path, n_paths):
+        assert block_rows(2049, 2) == 128
+        bundle = simulate_euler(self.DRIFT, InitialLaw(), n_paths, 20.48, 0.01, seed=5)
+        saved = tmp_path / "saved.bin"
+        save_bundle(bundle, saved)
+        with read_bundle(saved) as (header, blocks):
+            starts = [start for start, _ in blocks]
+        assert header["n_paths"] == n_paths
+        assert starts == list(range(0, n_paths, 128))
+        again = tmp_path / "again.bin"
+        save_bundle(load_bundle(saved), again)
+        assert again.read_bytes() == saved.read_bytes()
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"drift": {"matrix": self.DRIFT.entries.tolist()},
+                                      "n_paths": n_paths, "terminal": 20.48, "step": 0.01,
+                                      "seed": 5}))
+        simulated = tmp_path / "simulated.bin"
+        assert main(["simulate", "--config", str(config), "--out", str(simulated)]) == 0
+        assert simulated.read_bytes() == saved.read_bytes()

@@ -23,6 +23,7 @@ from sparse_ou import (
 from sparse_ou.experiments import DriftScheme, ExperimentPlan, generate_drift, holdout_stats
 from sparse_ou.model_select import split_paths
 from sparse_ou.process import block_rows
+from sparse_ou.suffstats import block_stats
 
 
 def _bundle_from_array(values, step):
@@ -124,6 +125,13 @@ class TestStreamedStatistics:
         for n_train in (0, 20):
             with pytest.raises(ValueError, match="n_train"):
                 holdout_stats(drift, ExperimentPlan(), 20, n_train, seed=9)
+
+    @pytest.mark.parametrize("n_train", [0, 30])
+    def test_block_stats_rejects_an_empty_half(self, n_train):
+        rng = np.random.default_rng(2)
+        blocks = [(0, rng.normal(size=(20, 11, 2))), (20, rng.normal(size=(10, 11, 2)))]
+        with pytest.raises(ValueError, match=r"n_train must be in \[1, n_paths - 1\], got %d" % n_train):
+            block_stats(blocks, 2, 0.1, 0.01, n_train)
 
 
 class TestLoss:
