@@ -28,7 +28,7 @@ from .files import (
 )
 from .model_select import CvGrid, cross_validate
 from .process import DriftMatrix, bundle_blocks
-from .solvers import solve_lasso, solve_mle, solve_slope
+from .solvers import check_level, solve_lasso, solve_mle, solve_slope
 from .suffstats import block_stats, check_split
 from .theory import check_concentration, compute_c_infty, kl_between, rate_sweep
 
@@ -130,6 +130,8 @@ def cmd_estimate(args):
         raise ValueError("method 'mle' takes neither --lambda nor --grid")
     if args.method in ("lasso", "slope") and (args.lam is None) == (args.grid is None):
         raise ValueError("method %r needs exactly one of --lambda or --grid" % (args.method,))
+    if args.lam is not None:
+        check_level(args.lam)
     grid = None if args.grid is None else _parse_grid(args.grid)
 
     with read_bundle(args.bundle) as (header, blocks):

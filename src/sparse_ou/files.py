@@ -27,6 +27,8 @@ from .suffstats import SuffStats
 
 _BUNDLE_HEADER = {"format": "sparse-ou-paths", "version": 1, "dtype": "<f8", "order": "path-major"}
 _STATS_HEADER = {"format": "sparse-ou-suffstats", "version": 1}
+# Longest bundle header line read; a written header is under 200 bytes.
+_HEADER_LIMIT = 1 << 16
 
 
 def to_plain(value):
@@ -196,11 +198,15 @@ def _read_header(document):
 def read_bundle(path):
     """Open a bundle; yield ``(header, blocks)`` as ``write_bundle`` takes them.
 
-    The header is checked by ``PathBundle``'s rules on a zero-stride stand-in
-    for the paths, and the file size against it, before any path is read. The
-    blocks, of ``block_rows`` paths, share one buffer: use each before the next."""
+    The header line must end within ``_HEADER_LIMIT`` bytes. It is checked by
+    ``PathBundle``'s rules on a zero-stride stand-in for the paths, and the
+    file size against it, before any path is read. The blocks, of
+    ``block_rows`` paths, share one buffer: use each before the next."""
     with open(path, "rb") as handle:
-        header, (n_paths, grid_len, dim) = _decode(path, handle.readline(), _BUNDLE_HEADER, _read_header)
+        line = handle.readline(_HEADER_LIMIT)
+        if not line.endswith(b"\n"):
+            raise OSError("cannot read %s: no header line in its first %d bytes" % (path, _HEADER_LIMIT))
+        header, (n_paths, grid_len, dim) = _decode(path, line, _BUNDLE_HEADER, _read_header)
         size, expected = os.fstat(handle.fileno()).st_size - handle.tell(), 8 * n_paths * grid_len * dim
         if size != expected:
             raise OSError("cannot read %s: %d bytes of paths, expected %d" % (path, size, expected))

@@ -10,6 +10,10 @@ Brownian motion. Repeated independent paths are observed on the uniform grid
 * ``simulate_exact``: samples the exact Gaussian transition, i.e. the grid
   marginals have the true law for any step size.
 
+Only the exact transition needs scipy (``scipy.linalg.expm``, behind
+``matrix_exponential``), so it is imported there, on the first call: the
+Euler sampler, and every caller that uses only it, runs on numpy alone.
+
 Random numbers come from counter-based Philox streams keyed by
 ``(seed, path index)``, so the draws of path ``i`` do not depend on how many
 paths are requested or on any batching or threading.
@@ -34,7 +38,6 @@ import concurrent.futures
 import dataclasses
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError
 
@@ -261,6 +264,9 @@ def matrix_exponential(matrix):
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix must be finite")
+    # Imported here: the Euler pipeline never needs it, and it doubles start-up time and memory.
+    import scipy.linalg
+
     return scipy.linalg.expm(m)
 
 

@@ -154,6 +154,14 @@ def _proximal_path(stats, penalty, prox, config, warm_start, lambda_used, penalt
     )
 
 
+def check_level(lam):
+    """Return the regularization level ``lam`` as a float; raise ``ValueError`` if negative or NaN."""
+    lam = float(lam)
+    if not lam >= 0:
+        raise ValueError("lam must be nonnegative")
+    return lam
+
+
 def solve_lasso(stats, lam, config=None, warm_start=None):
     """Drift estimate with the entrywise l1 penalty ``lam * ||A||_1``.
 
@@ -172,9 +180,7 @@ def solve_lasso(stats, lam, config=None, warm_start=None):
     -------
     EstimatorResult
     """
-    lam = float(lam)
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    lam = check_level(lam)
 
     def penalty(a):
         return lam * float(np.sum(np.abs(a)))
@@ -206,9 +212,7 @@ def solve_slope(stats, lam, weights=None, config=None, warm_start=None):
     -------
     EstimatorResult
     """
-    lam = float(lam)
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    lam = check_level(lam)
     if weights is None:
         weights = slope_weights(stats.dim * stats.dim)
     if not isinstance(weights, WeightVector):

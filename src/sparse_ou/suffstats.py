@@ -94,8 +94,9 @@ def block_stats(blocks, dim, terminal, step, n_train=None):
     Returns the ``SuffStats`` of every path, or with ``n_train`` the pair
     for the paths before index ``n_train`` and for the rest; a block that
     straddles ``n_train`` is split by rows, and ``check_split`` rejects an
-    empty side. The sums, and so their bits, depend on how the paths were
-    cut into blocks and in what order they came, never on anything else.
+    empty side; blocks with no paths at all raise ``ValueError``. The sums,
+    and so their bits, depend on how the paths were cut into blocks and in
+    what order they came, never on anything else.
     """
     parts = 1 if n_train is None else 2
     c_sums = np.zeros((parts, dim, dim))
@@ -113,6 +114,8 @@ def block_stats(blocks, dim, terminal, step, n_train=None):
                 c_sums[part] += x.T @ x
                 b_sums[part] += increment.T @ x
             counts[part] += len(rows)
+    if not sum(counts):
+        raise ValueError("blocks must hold at least one path, got none")
     if n_train is not None:
         check_split(sum(counts), n_train)
     stats = tuple(SuffStats(dim, c_sums[part] * (step / counts[part]), b_sums[part] / counts[part],

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparse_ou import load_bundle
+from sparse_ou import DriftMatrix, InitialLaw, cli, load_bundle, save_bundle, simulate_exact
 from sparse_ou.cli import main
+from sparse_ou.files import read_bundle
 
 
 def _write_config(tmp_path, name, document):
@@ -221,19 +222,24 @@ class TestEstimate:
         assert document["estimator_result"]["penalty_kind"] == "sorted_l1"
         assert document["estimator_result"]["lambda_used"] == 0.05
 
-    # The library's own checks reject these; the command line maps them to 2.
+    # The library's own checks reject these, before the bundle is opened; the command line
+    # maps them to 2.
     @pytest.mark.parametrize("selector, message", [
         (["--lambda", "-1"], "lam must be nonnegative"),
+        (["--lambda", "nan"], "lam must be nonnegative"),
         (["--grid=0:-1:1"], "log10_min must not exceed log10_max"),
         (["--grid=a:b:c"], "--grid components must be numbers"),
         (["--grid=-3:inf:1"], "grid bounds and step must be finite"),
-    ], ids=["negative_lambda", "reversed_grid", "non_numeric_grid", "infinite_grid"])
-    def test_invalid_selector_value(self, tmp_path, capsys, selector, message):
+    ], ids=["negative_lambda", "nan_lambda", "reversed_grid", "non_numeric_grid", "infinite_grid"])
+    def test_invalid_selector_value(self, tmp_path, capsys, monkeypatch, selector, message):
         bundle = _make_bundle(tmp_path)
+        opened = []
+        monkeypatch.setattr(cli, "read_bundle", lambda path: opened.append(path) or read_bundle(path))
         out = str(tmp_path / "fit.json")
         rc = main(["estimate", "--bundle", bundle, "--method", "lasso", *selector, "--out", out])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert opened == []
         assert not (tmp_path / "fit.json").exists()
 
     def test_grid_selection_writes_cv_outputs(self, tmp_path, capsys):
@@ -293,8 +299,9 @@ class TestEstimate:
         assert rc == 2
 
     @pytest.mark.parametrize("selector", [["--method", "mle", "--lambda", "0.1"],
-                                          ["--method", "lasso", "--grid", "oops"]],
-                             ids=["mle_with_lambda", "malformed_grid"])
+                                          ["--method", "lasso", "--grid", "oops"],
+                                          ["--method", "slope", "--lambda", "-1"]],
+                             ids=["mle_with_lambda", "malformed_grid", "negative_lambda"])
     def test_flags_are_checked_before_the_bundle_is_opened(self, tmp_path, capsys, selector):
         missing = str(tmp_path / "missing.bin")
         out = tmp_path / "fit.json"
@@ -674,3 +681,51 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "sparse-ou " + sparse_ou.__version__, proc.stderr
+
+
+class TestScipyImport:
+    """Only the exact transition loads scipy; every Euler command runs on numpy alone."""
+
+    # Runs each argument list of the JSON in argv[1] through ``main`` in a fresh interpreter,
+    # then prints the exit codes and the scipy modules loaded.
+    SCRIPT = (
+        "import json, sys\n"
+        "import sparse_ou\n"
+        "from sparse_ou.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
+        "print(json.dumps({'codes': codes, 'scipy': loaded}))\n"
+    )
+
+    def _run(self, commands):
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(commands)],
+                              capture_output=True, text=True, env=TestEntryPoint._module_env())
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["codes"] == [0] * len(commands), proc.stderr
+        return report["scipy"]
+
+    def test_euler_commands_never_load_scipy(self, tmp_path):
+        plan = _write_config(tmp_path, "plan.json", TestReproduce.PLAN)
+        config = _write_config(tmp_path, "sim.json", _simulate_config(n_paths=40))
+        bundle = str(tmp_path / "paths.bin")
+        loaded = self._run([
+            ["--help"],
+            ["reproduce", "--plan", plan, "--out-dir", str(tmp_path / "study"), "--threads", "1"],
+            ["simulate", "--config", config, "--out", bundle, "--csv", str(tmp_path / "paths.csv")],
+            ["estimate", "--bundle", bundle, "--method", "mle", "--out", str(tmp_path / "mle.json")],
+            ["estimate", "--bundle", bundle, "--method", "lasso", "--grid=-3:0:0.5",
+             "--out", str(tmp_path / "lasso.json")],
+        ])
+        assert loaded == []
+
+    def test_the_exact_sampler_loads_scipy_and_writes_the_same_bundle(self, tmp_path):
+        config = _simulate_config(method="exact", n_paths=4)
+        bundle = str(tmp_path / "paths.bin")
+        loaded = self._run([["simulate", "--config", _write_config(tmp_path, "sim.json", config),
+                             "--out", bundle]])
+        assert "scipy.linalg" in loaded
+        drift = DriftMatrix(2, np.array(config["drift"]["matrix"]))
+        expected = tmp_path / "expected.bin"
+        save_bundle(simulate_exact(drift, InitialLaw(), 4, 1.0, 0.01, seed=7), expected)
+        assert Path(bundle).read_bytes() == expected.read_bytes()

@@ -1,6 +1,7 @@
 """The file formats: exact bytes written, and readers that reject what they cannot read exactly."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +167,23 @@ def test_payload_size_must_match_the_header(tmp_path, capsys, edit):
     out = tmp_path / "fit.json"
     assert main(["estimate", "--bundle", str(target), "--method", "mle", "--out", str(out)]) == 3
     assert "cannot read" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_header_read_is_bounded(tmp_path, capsys):
+    # 16 MB with no newline: the reader gives up after its header limit, not at the end of the file.
+    target = tmp_path / "paths.bin"
+    target.write_bytes(b"{" * (16 << 20))
+    out = tmp_path / "fit.json"
+    tracemalloc.start()
+    try:
+        rc = main(["estimate", "--bundle", str(target), "--method", "mle", "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    assert "no header line in its first 65536 bytes" in capsys.readouterr().err
+    assert peak < 1 << 20
     assert not out.exists()
 
 

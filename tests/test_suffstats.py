@@ -133,6 +133,11 @@ class TestStreamedStatistics:
         with pytest.raises(ValueError, match=r"n_train must be in \[1, n_paths - 1\], got %d" % n_train):
             block_stats(blocks, 2, 0.1, 0.01, n_train)
 
+    @pytest.mark.parametrize("n_train", [None, 1])
+    def test_block_stats_rejects_no_blocks(self, n_train):
+        with pytest.raises(ValueError, match="blocks must hold at least one path"):
+            block_stats([], 2, 0.1, 0.01, n_train)
+
 
 class TestLoss:
     def test_quadratic_identity_against_direct_sum(self):
