@@ -40,7 +40,7 @@ for name, estimate in fits.items():
     delta = estimate - truth.entries
     l2 = float(np.sum(delta * delta)) / dim
     l1 = float(np.sum(np.abs(delta))) / dim
-    f1 = support_f1(estimate, truth.true_support, 1e-6)
+    f1 = support_f1(estimate, truth.support, 1e-6)
     count = int(np.count_nonzero(np.abs(estimate) > 1e-6))
     print("%-10s %12.5f %12.5f %8.3f %10d" % (name, l2, l1, f1, count))
 

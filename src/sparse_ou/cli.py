@@ -13,6 +13,7 @@ resolved configuration, seed, timestamps and output files.
 
 import argparse
 import datetime
+import inspect
 import json
 import os
 import sys
@@ -23,10 +24,10 @@ from .experiments import (
     export_figure_data, generate_drift, plan_from_dict, run_experiment, summarize, worker_count,
 )
 from .files import (
-    bundle_to_csv, load_bundle, read_arguments, read_bundle, read_value, report_to_csv, to_plain,
-    write_bundle, write_csv, write_json,
+    read_arguments, read_bundle, read_value, report_to_csv, to_plain, write_bundle,
+    write_bundle_csv, write_csv, write_json,
 )
-from .model_select import CvGrid, cross_validate
+from .model_select import PENALTIES, CvGrid, cross_validate
 from .process import DriftMatrix, bundle_blocks
 from .solvers import check_level, solve_lasso, solve_mle, solve_slope
 from .suffstats import block_stats, check_split
@@ -103,7 +104,8 @@ def cmd_simulate(args):
     write_bundle(args.out, header, blocks)
     outputs = [args.out]
     if args.csv:
-        bundle_to_csv(load_bundle(args.out), args.csv)
+        with read_bundle(args.out) as streamed:
+            write_bundle_csv(args.csv, *streamed)
         outputs.append(args.csv)
     _write_manifest(args.out + ".manifest.json", "simulate", config, header["seed"], started, outputs)
     print("wrote %d paths (dim %d, grid %d) to %s"
@@ -128,7 +130,7 @@ def cmd_estimate(args):
     started = _now()
     if args.method == "mle" and (args.lam is not None or args.grid is not None):
         raise ValueError("method 'mle' takes neither --lambda nor --grid")
-    if args.method in ("lasso", "slope") and (args.lam is None) == (args.grid is None):
+    if args.method in PENALTIES and (args.lam is None) == (args.grid is None):
         raise ValueError("method %r needs exactly one of --lambda or --grid" % (args.method,))
     if args.lam is not None:
         check_level(args.lam)
@@ -148,8 +150,7 @@ def cmd_estimate(args):
         solve = solve_lasso if args.method == "lasso" else solve_slope
         result = solve(stats, args.lam)
     else:
-        penalty = "l1" if args.method == "lasso" else "sorted_l1"
-        cv_report = cross_validate(*stats, grid, penalty=penalty)
+        cv_report = cross_validate(*stats, grid, penalty=PENALTIES[args.method])
         result = cv_report.result
 
     write_json({"estimator_result": result, "cv_report": cv_report}, args.out)
@@ -163,7 +164,7 @@ def cmd_estimate(args):
         "method": args.method,
         "lambda": args.lam,
         "grid": args.grid,
-        "n_train": args.n_train,
+        "n_train": n_train,
     }
     _write_manifest(args.out + ".manifest.json", "estimate", resolved, header["seed"], started, outputs)
     if cv_report is not None:
@@ -235,6 +236,8 @@ def cmd_theory(args):
     target, defaults = _THEORY[args.operation]
     arguments = read_arguments(target, {**defaults, **config}, args.config)
     result = target(**arguments)
+    called = inspect.signature(target).bind(**arguments)
+    called.apply_defaults()
     outputs = [args.out]
     seed = arguments.get("seed")
 
@@ -259,8 +262,8 @@ def cmd_theory(args):
         write_json({"kl": result}, args.out)
         print("kl = %r" % (result,))
 
-    _write_manifest(args.out + ".manifest.json", "theory " + args.operation, config, seed,
-                    started, outputs)
+    _write_manifest(args.out + ".manifest.json", "theory " + args.operation,
+                    called.arguments, seed, started, outputs)
     return 0
 
 
@@ -280,7 +283,7 @@ def build_parser():
 
     estimate = commands.add_parser("estimate", help="fit a drift estimator to a bundle")
     estimate.add_argument("--bundle", required=True, help="input bundle file")
-    estimate.add_argument("--method", required=True, choices=("mle", "lasso", "slope"))
+    estimate.add_argument("--method", required=True, choices=("mle", *PENALTIES))
     estimate.add_argument("--lambda", dest="lam", type=float, default=None,
                           help="fixed regularization level")
     estimate.add_argument("--grid", default=None,

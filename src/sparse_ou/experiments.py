@@ -15,6 +15,7 @@ in isolation and results do not depend on execution order or thread count.
 import concurrent.futures
 import contextlib
 import dataclasses
+import functools
 import os
 import sys
 import time
@@ -22,7 +23,7 @@ import time
 import numpy as np
 
 from .files import from_plain, read_arguments, read_value, to_plain, write_csv  # noqa: F401
-from .model_select import CvGrid, cross_validate
+from .model_select import PENALTIES, CvGrid, cross_validate
 from .process import DriftMatrix, InitialLaw, mix_seed, path_blocks, path_stream
 from .solvers import SolverConfig, solve_mle
 from .suffstats import block_stats, check_split
@@ -34,9 +35,7 @@ from .model_select import split_paths  # noqa: F401
 from .process import simulate_euler  # noqa: F401
 from .suffstats import compute_suffstats  # noqa: F401
 
-_ESTIMATORS = ("mle", "lasso", "slope")
-
-_HEATMAP_NAMES = ("truth", "mle", "lasso", "slope")
+_ESTIMATORS = ("mle", *PENALTIES)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,6 +122,8 @@ def plan_from_dict(document):
 class ExperimentRow:
     """Metrics of one estimator in one (dimension, replicate) cell.
 
+    ``status`` is ``"ok"`` or ``"failed: <error>"``; a failed fit keeps the
+    NaN metrics. ``lambda_used`` is NaN for the unpenalized fit.
     ``grid_edge`` marks a hold-out pick at the smallest or largest level of
     the grid, ``converged`` whether the reported fit met its tolerance.
     """
@@ -130,12 +131,12 @@ class ExperimentRow:
     dim: int
     replicate: int
     estimator: str
-    scaled_l2sq: float
-    scaled_l1: float
-    support_f1: float
-    lambda_used: float
-    runtime_seconds: float
-    status: str
+    scaled_l2sq: float = np.nan
+    scaled_l1: float = np.nan
+    support_f1: float = np.nan
+    lambda_used: float = np.nan
+    runtime_seconds: float = 0.0
+    status: str = "ok"
     grid_edge: bool = False
     converged: bool = True
 
@@ -155,6 +156,23 @@ class ExperimentReport:
     heatmaps: list
     drifts: dict
 
+    @functools.cached_property
+    def curves(self):
+        """``{(metric, estimator): [(d, mean, std), ...]}`` of each scaled error over
+        the successful replicates, by metric then estimator, in plan order of
+        ``d``; NaN where no replicate succeeded. Computed once, on first use."""
+        curves = {}
+        for metric in ("scaled_l2sq", "scaled_l1"):
+            for estimator in _ESTIMATORS:
+                curve = []
+                for dim in self.plan.dims:
+                    values = [getattr(row, metric) for row in self.rows
+                              if (row.dim, row.estimator, row.status) == (dim, estimator, "ok")]
+                    values = values or [np.nan]
+                    curve.append((dim, float(np.mean(values)), float(np.std(values))))
+                curves[metric, estimator] = curve
+        return curves
+
 
 def generate_drift(dim: int, scheme: DriftScheme, seed: int):
     """Draw a ``dim`` x ``dim`` drift from ``scheme``.
@@ -171,8 +189,7 @@ def generate_drift(dim: int, scheme: DriftScheme, seed: int):
     off_mask = ~np.eye(dim, dtype=bool)
     entries[off_mask & keep] = values[off_mask & keep]
     entries[np.diag_indices(dim)] = diag
-    support = frozenset((int(i), int(j)) for i, j in zip(*np.nonzero(entries)))
-    return DriftMatrix(dim, entries, true_support=support)
+    return DriftMatrix(dim, entries)
 
 
 def support_f1(estimate, true_support, threshold):
@@ -184,38 +201,6 @@ def support_f1(estimate, true_support, threshold):
     tp = len(found & truth)
     denominator = 2 * tp + len(found - truth) + len(truth - found)
     return 2.0 * tp / denominator if denominator else 0.0
-
-
-def _metric_rows(dim, replicate, name, fit, drift, lambda_used, grid_edge, runtime, threshold):
-    estimate = fit.estimate.entries
-    delta = estimate - drift.entries
-    return ExperimentRow(
-        dim=dim,
-        replicate=replicate,
-        estimator=name,
-        scaled_l2sq=float(np.sum(delta * delta)) / dim,
-        scaled_l1=float(np.sum(np.abs(delta))) / dim,
-        support_f1=support_f1(estimate, drift.true_support or frozenset(), threshold),
-        lambda_used=lambda_used,
-        runtime_seconds=runtime,
-        status="ok",
-        grid_edge=grid_edge,
-        converged=fit.converged,
-    )
-
-
-def _failed_row(dim, replicate, name, runtime, exc):
-    return ExperimentRow(
-        dim=dim,
-        replicate=replicate,
-        estimator=name,
-        scaled_l2sq=float("nan"),
-        scaled_l1=float("nan"),
-        support_f1=float("nan"),
-        lambda_used=float("nan"),
-        runtime_seconds=runtime,
-        status="failed: %s" % (exc,),
-    )
 
 
 def holdout_stats(drift, plan, n_paths, n_train, seed):
@@ -235,35 +220,33 @@ def _run_cell(plan, drift, dim, replicate):
     rows = []
     estimates = {"truth": drift.entries}
     for name in _ESTIMATORS:
+        fields = {}
         begin = time.perf_counter()
         try:
             if name == "mle":
                 fit = solve_mle(train_stats)
-                lambda_used = float("nan")
-                grid_edge = False
             else:
-                penalty = "l1" if name == "lasso" else "sorted_l1"
                 report = cross_validate(
-                    train_stats, valid_stats, plan.grid, penalty=penalty, config=plan.solver
+                    train_stats, valid_stats, plan.grid, penalty=PENALTIES[name], config=plan.solver
                 )
                 fit = report.result
-                lambda_used = report.chosen_lambda
-                grid_edge = report.grid_edge
+                fields.update(lambda_used=report.chosen_lambda, grid_edge=report.grid_edge)
+            estimates[name] = fit.estimate.entries
+            fields["converged"] = fit.converged
         except Exception as exc:  # keep the sweep alive, mark the cell
-            rows.append(_failed_row(dim, replicate, name, time.perf_counter() - begin, exc))
-            continue
-        runtime = time.perf_counter() - begin
-        estimates[name] = fit.estimate.entries
-        rows.append(
-            _metric_rows(dim, replicate, name, fit, drift, lambda_used, grid_edge, runtime,
-                         plan.support_threshold)
-        )
-    heatmaps = []
-    if dim in plan.heatmap_dims:
-        for name in _HEATMAP_NAMES:
-            if name in estimates:
-                heatmaps.append(HeatmapRecord(dim, replicate, name, np.array(estimates[name])))
-    return rows, heatmaps
+            fields["status"] = "failed: %s" % (exc,)
+        fields["runtime_seconds"] = time.perf_counter() - begin
+        if name in estimates:
+            estimate = estimates[name]
+            delta = estimate - drift.entries
+            fields.update(scaled_l2sq=float(np.sum(delta * delta)) / dim,
+                          scaled_l1=float(np.sum(np.abs(delta))) / dim,
+                          support_f1=support_f1(estimate, drift.support, plan.support_threshold))
+        rows.append(ExperimentRow(dim, replicate, name, **fields))
+    if dim not in plan.heatmap_dims:
+        return rows, []
+    return rows, [HeatmapRecord(dim, replicate, name, np.array(matrix))
+                  for name, matrix in estimates.items()]
 
 
 def worker_count(threads):
@@ -318,12 +301,6 @@ def display_transform(matrix):
     return np.sign(values) * np.log1p(np.abs(values) / 0.01)
 
 
-def _ok_values(report, dim, estimator, metric):
-    # One metric over the successful replicates of one (dimension, estimator).
-    return [getattr(row, metric) for row in report.rows
-            if row.dim == dim and row.estimator == estimator and row.status == "ok"]
-
-
 def export_figure_data(report, out_dir):
     """Write benchmark CSVs under ``out_dir`` and return the file list.
 
@@ -344,15 +321,10 @@ def export_figure_data(report, out_dir):
                 '"%s"' % row.status.replace('"', "'")) for row in report.rows])
     written.append(rows_path)
 
-    for metric in ("scaled_l2sq", "scaled_l1"):
-        for estimator in _ESTIMATORS:
-            path = os.path.join(out_dir, "curve_%s_%s.csv" % (metric, estimator))
-            rows = []
-            for dim in report.plan.dims:
-                values = _ok_values(report, dim, estimator, metric) or [float("nan")]
-                rows.append((dim, float(np.mean(values)), float(np.std(values))))
-            write_csv(path, ["d", "mean", "std"], rows)
-            written.append(path)
+    for (metric, estimator), curve in report.curves.items():
+        path = os.path.join(out_dir, "curve_%s_%s.csv" % (metric, estimator))
+        write_csv(path, ["d", "mean", "std"], curve)
+        written.append(path)
 
     for record in report.heatmaps:
         base = "heatmap_d%d_rep%d_%s" % (record.dim, record.replicate, record.name)
@@ -367,16 +339,8 @@ def export_figure_data(report, out_dir):
 
 
 def summarize(report):
-    """Per-dimension mean scaled errors as aligned text lines."""
+    """Per-dimension mean scaled errors (``report.curves``) as aligned text lines."""
     lines = ["  d   mle l2^2/d   lasso l2^2/d  slope l2^2/d    mle l1/d   lasso l1/d   slope l1/d"]
-    for dim in report.plan.dims:
-        cells = []
-        for metric in ("scaled_l2sq", "scaled_l1"):
-            for estimator in _ESTIMATORS:
-                values = _ok_values(report, dim, estimator, metric)
-                cells.append(np.mean(values) if values else float("nan"))
-        lines.append(
-            "%3d   %10.5f   %10.5f   %10.5f   %10.5f   %10.5f   %10.5f"
-            % (dim, cells[0], cells[1], cells[2], cells[3], cells[4], cells[5])
-        )
+    for points in zip(*report.curves.values()):  # the (d, mean, std) of each curve at one d
+        lines.append("%3d" % points[0][0] + "".join("   %10.5f" % mean for _, mean, _ in points))
     return lines

@@ -7,8 +7,9 @@ file (sorted keys, ASCII, trailing newline). Every reader raises ``OSError``
 on invalid JSON, an unknown or missing key, a value of the wrong type (no
 coercion), or an unexpected ``format``, ``version``, ``dtype`` or ``order``.
 The formats: path bundles (a JSON header line, then raw float64 values, in
-blocks by ``write_bundle`` and ``read_bundle``), ``SuffStats`` statistics,
-``EstimatorResult`` results and ``CvReport`` hold-out reports.
+blocks by ``write_bundle`` and ``read_bundle``, and as CSV by
+``write_bundle_csv``), ``SuffStats`` statistics, ``EstimatorResult`` results
+and ``CvReport`` hold-out reports.
 """
 
 import contextlib
@@ -228,12 +229,20 @@ def load_bundle(path):
         return collect_bundle(*streamed)
 
 
+def write_bundle_csv(path, header, blocks):
+    """Write ``blocks``, as ``write_bundle`` takes them, as CSV with one row per (path,
+    time) pair: the path index, the time, then the state. Of ``header`` only the
+    ``PathBundle`` fields ``dim``, ``grid_len`` and ``step`` are read."""
+    times = (np.arange(header["grid_len"]) * header["step"]).tolist()
+    rows = ([index, time, *state] for start, block in blocks
+            for index, values in enumerate(block, start)
+            for time, state in zip(times, values.tolist()))
+    write_csv(path, ["path", "time"] + ["x%d" % j for j in range(header["dim"])], rows)
+
+
 def bundle_to_csv(bundle, path):
-    """Export a bundle as CSV with one row per (path, time) pair."""
-    times = bundle.times().tolist()
-    write_csv(path, ["path", "time"] + ["x%d" % j for j in range(bundle.dim)],
-              ([i, times[k], *bundle.values[i, k].tolist()]
-               for i in range(bundle.n_paths) for k in range(bundle.grid_len)))
+    """Export a ``PathBundle`` with ``write_bundle_csv``, as one block."""
+    write_bundle_csv(path, vars(bundle), [(0, bundle.values)])
 
 
 def stats_to_json(stats, path):

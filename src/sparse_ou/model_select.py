@@ -14,6 +14,9 @@ import numpy as np
 from .solvers import EstimatorResult, solve_lasso, solve_slope
 from .suffstats import check_split, loss
 
+# The penalty of each penalized estimator, by the estimator's name.
+PENALTIES = {"lasso": "l1", "slope": "sorted_l1"}
+
 
 @dataclasses.dataclass(frozen=True)
 class CvGrid:
@@ -94,7 +97,7 @@ def cross_validate(train_stats, valid_stats, grid, penalty="l1", config=None):
     """
     if train_stats.dim != valid_stats.dim:
         raise ValueError("training and validation statistics disagree on dim")
-    if penalty not in ("l1", "sorted_l1"):
+    if penalty not in PENALTIES.values():
         raise ValueError("penalty must be 'l1' or 'sorted_l1'")
     levels = grid.values()
     fits = {}

@@ -36,6 +36,7 @@ reads them back block by block (``files``). Only ``collect_bundle``, behind
 
 import concurrent.futures
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -115,7 +116,7 @@ def block_rows(grid_len, dim):
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class DriftMatrix:
-    """Square drift matrix, optionally carrying its known sparsity pattern.
+    """Square drift matrix; ``support`` is derived from its nonzero entries.
 
     Parameters
     ----------
@@ -123,15 +124,10 @@ class DriftMatrix:
         State dimension ``d >= 1``.
     entries : ndarray, shape (dim, dim)
         The matrix itself. Stored read-only.
-    true_support : frozenset of (int, int), optional
-        Index set of nonzero entries. When given it must equal the actual
-        nonzero pattern of ``entries``; estimators use it for support
-        metrics, never for fitting.
     """
 
     dim: int
     entries: np.ndarray
-    true_support: frozenset = None
 
     def __post_init__(self):
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
@@ -145,13 +141,12 @@ class DriftMatrix:
             raise ValueError("entries must be finite")
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
-        if self.true_support is not None:
-            support = frozenset((int(i), int(j)) for i, j in self.true_support)
-            actual = frozenset(zip(*np.nonzero(entries)))
-            actual = frozenset((int(i), int(j)) for i, j in actual)
-            if support != actual:
-                raise ValueError("true_support does not match the nonzero pattern of entries")
-            object.__setattr__(self, "true_support", support)
+
+    @functools.cached_property
+    def support(self):
+        """Frozen set of the ``(row, column)`` pairs of the nonzero entries, computed on
+        first use; estimators use it for support metrics, never for fitting."""
+        return frozenset((int(i), int(j)) for i, j in zip(*np.nonzero(self.entries)))
 
     @property
     def nnz(self):

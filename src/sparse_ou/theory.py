@@ -358,8 +358,7 @@ def minimax_family(dim, sparsity, w, count, seed):
             b[i, j] = sign
             b[j, i] = -sign
         entries = -0.5 * np.eye(dim) - w * b
-        support = frozenset((int(i), int(j)) for i, j in zip(*np.nonzero(entries)))
-        members.append(DriftMatrix(dim, entries, true_support=support))
+        members.append(DriftMatrix(dim, entries))
     return members
 
 

@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparse_ou import DriftMatrix, InitialLaw, cli, load_bundle, save_bundle, simulate_exact
+from sparse_ou import (
+    DriftMatrix, InitialLaw, bundle_to_csv, cli, load_bundle, save_bundle, simulate_exact,
+)
 from sparse_ou.cli import main
 from sparse_ou.files import read_bundle
 
@@ -279,6 +281,18 @@ class TestEstimate:
         document = json.loads((tmp_path / "fit.json").read_text())
         assert len(document["cv_report"]["scores"]) == 3
 
+    @pytest.mark.parametrize("selector, n_train", [(["--method", "lasso", "--grid=-3:-1:1"], 40),
+                                                   (["--method", "lasso", "--grid=-3:-1:1",
+                                                     "--n-train", "30"], 30),
+                                                   (["--method", "mle"], None)],
+                             ids=["grid_default", "grid_given", "mle"])
+    def test_manifest_records_the_train_count_used(self, tmp_path, selector, n_train):
+        bundle = _make_bundle(tmp_path, n_paths=50)
+        out = str(tmp_path / "fit.json")
+        assert main(["estimate", "--bundle", bundle, *selector, "--out", out]) == 0
+        manifest = json.loads((tmp_path / "fit.json.manifest.json").read_text())
+        assert manifest["resolved_config"]["n_train"] == n_train
+
     def test_invalid_train_count(self, tmp_path):
         bundle = _make_bundle(tmp_path, n_paths=50)
         out = str(tmp_path / "fit.json")
@@ -358,6 +372,31 @@ class TestStreamedMemory:
             tracemalloc.stop()
         assert rc == 0
         assert peak < self.PAYLOAD_BYTES / 4
+
+    def test_simulate_csv_peak_stays_far_below_the_payload(self, tmp_path, monkeypatch):
+        # Blocks of 128 paths (the fewest) keep the run short: at d = 10 and 21
+        # grid points a block is 215 kB, and 3,000 paths are a 5 MB payload.
+        monkeypatch.setattr("sparse_ou.process.BLOCK_BYTES", 1 << 16)
+        n_paths = 3000
+        payload = n_paths * 21 * 10 * 8
+        document = _simulate_config(n_paths=n_paths, terminal=0.2)
+        document["drift"] = {"generator": {"dim": 10, "seed": 3}}
+        config = _write_config(tmp_path, "sim.json", document)
+        bundle = str(tmp_path / "paths.bin")
+        csv = tmp_path / "paths.csv"
+        # A first, untraced run makes the allocations a process makes only once
+        # (imports on first use), so the traced run measures the command itself.
+        assert main(["simulate", "--config", config, "--out", bundle]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", config, "--out", bundle, "--csv", str(csv)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < payload / 4
+        expected = tmp_path / "expected.csv"
+        bundle_to_csv(load_bundle(bundle), expected)
+        assert csv.read_bytes() == expected.read_bytes()
 
 
 class TestReproduce:
@@ -526,6 +565,18 @@ class TestTheory:
         lines = (tmp_path / "conc.json.csv").read_text().splitlines()
         assert lines[0] == "n_paths,mean_deviation,sandwich_frequency"
         assert len(lines) == 3
+
+    def test_manifest_records_every_argument(self, tmp_path):
+        document = {"drift": [[-1.0, 0.2], [0.0, -0.7]], "n_list": [50], "reps": 1, "seed": 5}
+        config = _write_config(tmp_path, "c.json", document)
+        out = str(tmp_path / "conc.json")
+        assert main(["theory", "concentration", "--config", config, "--out", out]) == 0
+        manifest = json.loads((tmp_path / "conc.json.manifest.json").read_text())
+        assert manifest["resolved_config"] == {
+            **document, "law": {"kind": "zero", "covariance": None},
+            "sampler": "exact", "terminal": 1.0, "step": 0.01,
+        }
+        assert manifest["seed"] == 5
 
     def test_rate_sweep(self, tmp_path, capsys):
         config = _write_config(

@@ -33,7 +33,7 @@ class TestDriftGeneration:
         a = generate_drift(12, plan.scheme, seed=5)
         b = generate_drift(12, plan.scheme, seed=5)
         assert np.array_equal(a.entries, b.entries)
-        assert a.true_support == b.true_support
+        assert a.support == b.support
 
     def test_seed_sensitivity(self):
         plan = ExperimentPlan()
@@ -62,7 +62,7 @@ class TestDriftGeneration:
     def test_support_recorded(self):
         drift = generate_drift(10, DriftScheme(), seed=2)
         expected = set(zip(*np.nonzero(drift.entries)))
-        assert drift.true_support == expected
+        assert drift.support == expected
 
 
 class TestSupportF1:
@@ -184,6 +184,25 @@ class TestRunExperiment:
         assert np.isnan(row.scaled_l2sq)
         assert np.isnan(row.scaled_l1)
 
+    def test_failed_sweeps_keep_the_row_defaults(self, monkeypatch):
+        import sparse_ou.experiments as experiments
+
+        def broken(*args, **kwargs):
+            raise NumericalError("boom")
+
+        monkeypatch.setattr(experiments, "cross_validate", broken)
+        report = run_experiment(_tiny_plan(dims=(3,), replicates=1))
+        failed = [r for r in report.rows if r.estimator != "mle"]
+        assert [r.estimator for r in failed] == ["lasso", "slope"]
+        for row in failed:
+            assert row.status == "failed: boom"
+            assert np.isnan(row.support_f1)
+            assert np.isnan(row.lambda_used)
+            assert row.grid_edge is False
+            assert row.converged is True
+            assert row.runtime_seconds >= 0.0
+        assert [r.name for r in report.heatmaps] == ["truth", "mle"]
+
 
 class TestExports:
     def test_file_inventory_and_shapes(self, tmp_path):
@@ -223,6 +242,17 @@ class TestExports:
         assert len(first) == len(second)
         for pa, pb in zip(first, second):
             assert open(pa, "rb").read() == open(pb, "rb").read()
+
+    def test_summarize_prints_the_curve_means(self, tmp_path):
+        report = run_experiment(_tiny_plan())
+        export_figure_data(report, tmp_path)
+        table = [line.split() for line in summarize(report)[1:]]
+        columns = [(metric, estimator) for metric in ("scaled_l2sq", "scaled_l1")
+                   for estimator in ("mle", "lasso", "slope")]
+        for column, (metric, estimator) in enumerate(columns, 1):
+            curve = (tmp_path / ("curve_%s_%s.csv" % (metric, estimator))).read_text()
+            means = [float(line.split(",")[1]) for line in curve.splitlines()[1:]]
+            assert [row[column] for row in table] == ["%.5f" % mean for mean in means]
 
     def test_summarize_mentions_every_dim(self):
         report = run_experiment(_tiny_plan())

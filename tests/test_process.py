@@ -1,5 +1,6 @@
 """Path simulation, matrix exponentials, and bundle serialization."""
 
+import pickle
 import threading
 
 import numpy as np
@@ -385,6 +386,25 @@ class TestSerialization:
         assert np.array_equal(values, bundle.values)
 
 
+class TestDriftSupport:
+    def test_support_is_the_nonzero_pattern(self):
+        drift = DriftMatrix(3, np.array([[-1.0, 0.0, 0.2], [0.0, -0.5, 0.0], [-0.3, 0.0, 0.0]]))
+        assert drift.support == frozenset({(0, 0), (0, 2), (1, 1), (2, 0)})
+        assert all(type(i) is int and type(j) is int for i, j in drift.support)
+
+    def test_zero_matrix_has_empty_support(self):
+        assert DriftMatrix(2, np.zeros((2, 2))).support == frozenset()
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["fresh", "cached"])
+    def test_support_survives_pickling(self, cached):
+        drift = DriftMatrix(2, np.array([[-1.0, 0.4], [0.0, -2.0]]))
+        if cached:
+            drift.support
+        copy = pickle.loads(pickle.dumps(drift))
+        assert np.array_equal(copy.entries, drift.entries)
+        assert copy.support == frozenset({(0, 0), (0, 1), (1, 1)})
+
+
 class TestValidation:
     def test_initial_law_requires_psd_covariance(self):
         with pytest.raises(ValueError):
@@ -397,11 +417,6 @@ class TestValidation:
     def test_drift_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             DriftMatrix(2, np.zeros((2, 3)))
-
-    def test_drift_support_must_match_nonzeros(self):
-        entries = np.array([[-1.0, 0.0], [0.0, -1.0]])
-        with pytest.raises(ValueError):
-            DriftMatrix(2, entries, true_support=frozenset({(0, 1)}))
 
     def test_bundle_values_read_only(self):
         bundle = simulate_euler(_scalar_drift(0.0), InitialLaw(), 2, 0.1, 0.01, seed=0)
