@@ -69,6 +69,13 @@ def _write_manifest(path, command, resolved_config, seed, started, outputs):
     )
 
 
+def _bound_arguments(target, arguments):
+    # Every argument of the call ``target(**arguments)``, defaults applied, in signature order.
+    called = inspect.signature(target).bind(**arguments)
+    called.apply_defaults()
+    return called.arguments
+
+
 def _resolve_threads(args):
     # ``--threads``, else ``SPARSE_OU_THREADS``, else None: one worker per CPU.
     if args.threads is not None:
@@ -99,15 +106,16 @@ def _read_drift(document):
 def cmd_simulate(args):
     started = _now()
     config = {"law": {}, "method": "euler", **_load_json(args.config)}
-    header, blocks = bundle_blocks(**read_arguments(bundle_blocks, config, args.config,
-                                                    drift=_read_drift))
+    arguments = read_arguments(bundle_blocks, config, args.config, drift=_read_drift)
+    header, blocks = bundle_blocks(**arguments)
     write_bundle(args.out, header, blocks)
     outputs = [args.out]
     if args.csv:
         with read_bundle(args.out) as streamed:
             write_bundle_csv(args.csv, *streamed)
         outputs.append(args.csv)
-    _write_manifest(args.out + ".manifest.json", "simulate", config, header["seed"], started, outputs)
+    _write_manifest(args.out + ".manifest.json", "simulate", _bound_arguments(bundle_blocks, arguments),
+                    header["seed"], started, outputs)
     print("wrote %d paths (dim %d, grid %d) to %s"
           % (header["n_paths"], header["dim"], header["grid_len"], args.out))
     return 0
@@ -132,6 +140,8 @@ def cmd_estimate(args):
         raise ValueError("method 'mle' takes neither --lambda nor --grid")
     if args.method in PENALTIES and (args.lam is None) == (args.grid is None):
         raise ValueError("method %r needs exactly one of --lambda or --grid" % (args.method,))
+    if args.n_train is not None and args.grid is None:
+        raise ValueError("--n-train applies only to --grid selection")
     if args.lam is not None:
         check_level(args.lam)
     grid = None if args.grid is None else _parse_grid(args.grid)
@@ -236,8 +246,6 @@ def cmd_theory(args):
     target, defaults = _THEORY[args.operation]
     arguments = read_arguments(target, {**defaults, **config}, args.config)
     result = target(**arguments)
-    called = inspect.signature(target).bind(**arguments)
-    called.apply_defaults()
     outputs = [args.out]
     seed = arguments.get("seed")
 
@@ -263,7 +271,7 @@ def cmd_theory(args):
         print("kl = %r" % (result,))
 
     _write_manifest(args.out + ".manifest.json", "theory " + args.operation,
-                    called.arguments, seed, started, outputs)
+                    _bound_arguments(target, arguments), seed, started, outputs)
     return 0
 
 

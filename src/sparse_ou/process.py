@@ -10,9 +10,8 @@ Brownian motion. Repeated independent paths are observed on the uniform grid
 * ``simulate_exact``: samples the exact Gaussian transition, i.e. the grid
   marginals have the true law for any step size.
 
-Only the exact transition needs scipy (``scipy.linalg.expm``, behind
-``matrix_exponential``), so it is imported there, on the first call: the
-Euler sampler, and every caller that uses only it, runs on numpy alone.
+Both samplers run on numpy alone: the exact transition's matrix exponential
+is computed here by scaling and squaring (``matrix_exponential``).
 
 Random numbers come from counter-based Philox streams keyed by
 ``(seed, path index)``, so the draws of path ``i`` do not depend on how many
@@ -37,6 +36,7 @@ reads them back block by block (``files``). Only ``collect_bundle``, behind
 import concurrent.futures
 import dataclasses
 import functools
+import math
 
 import numpy as np
 
@@ -242,8 +242,25 @@ def _psd_factor(matrix):
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
+# Numerator coefficients of the [13/13] Pade approximant to e^x, divided by
+# the constant term so that b[0] = 1 (the zero matrix then maps to exactly the
+# identity; the denominator has the same coefficients with alternating signs),
+# and the 1-norm up to which the approximant is accurate to double precision
+# (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005, table 2.3).
+_PADE13 = np.array([
+    64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
+    129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920,
+    40840800, 960960, 16380, 182, 1,
+], dtype=float) / 64764752532480000
+_THETA13 = 5.371920351148152
+
+
 def matrix_exponential(matrix):
-    """Matrix exponential by scaling-and-squaring with Pade approximants.
+    """Matrix exponential by scaling and squaring with the [13/13] Pade approximant.
+
+    ``matrix`` is scaled by ``2**-s``, with ``s`` the least integer that
+    brings its 1-norm to at most ``theta_13 = 5.37``; the approximant
+    ``q(X)^{-1} p(X)`` of the scaled matrix ``X`` is then squared ``s`` times.
 
     Parameters
     ----------
@@ -259,10 +276,22 @@ def matrix_exponential(matrix):
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix must be finite")
-    # Imported here: the Euler pipeline never needs it, and it doubles start-up time and memory.
-    import scipy.linalg
-
-    return scipy.linalg.expm(m)
+    norm = np.abs(m).sum(axis=0).max(initial=0.0)
+    squarings = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    x = m * 2.0 ** -squarings
+    b = _PADE13
+    identity = np.eye(len(x))
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    odd = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+               + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * identity)
+    even = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
+            + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * identity)
+    result = np.linalg.solve(even - odd, even + odd)
+    for _ in range(squarings):
+        result = result @ result
+    return result
 
 
 def _van_loan(a, duration):

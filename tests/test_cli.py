@@ -14,6 +14,7 @@ from sparse_ou import (
     DriftMatrix, InitialLaw, bundle_to_csv, cli, load_bundle, save_bundle, simulate_exact,
 )
 from sparse_ou.cli import main
+from sparse_ou.experiments import DriftScheme, generate_drift
 from sparse_ou.files import read_bundle
 
 
@@ -72,6 +73,19 @@ class TestSimulate:
         out = str(tmp_path / "paths.bin")
         assert main(["simulate", "--config", config, "--out", out]) == 0
         assert load_bundle(out).dim == 5
+
+    def test_manifest_records_the_drawn_drift_and_the_resolved_law(self, tmp_path):
+        document = _simulate_config()
+        document["drift"] = {"generator": {"dim": 3, "seed": 1}}
+        config = _write_config(tmp_path, "sim.json", document)
+        out = str(tmp_path / "paths.bin")
+        assert main(["simulate", "--config", config, "--out", out]) == 0
+        manifest = json.loads((tmp_path / "paths.bin.manifest.json").read_text())
+        assert manifest["resolved_config"] == {
+            "method": "euler", "drift": generate_drift(3, DriftScheme(), 1).entries.tolist(),
+            "law": {"kind": "zero", "covariance": None}, "n_paths": 10, "terminal": 1.0,
+            "step": 0.01, "seed": 7,
+        }
 
     def test_missing_field_names_it(self, tmp_path, capsys):
         document = _simulate_config()
@@ -314,8 +328,11 @@ class TestEstimate:
 
     @pytest.mark.parametrize("selector", [["--method", "mle", "--lambda", "0.1"],
                                           ["--method", "lasso", "--grid", "oops"],
-                                          ["--method", "slope", "--lambda", "-1"]],
-                             ids=["mle_with_lambda", "malformed_grid", "negative_lambda"])
+                                          ["--method", "slope", "--lambda", "-1"],
+                                          ["--method", "lasso", "--lambda", "0.1", "--n-train", "500"],
+                                          ["--method", "mle", "--n-train", "5"]],
+                             ids=["mle_with_lambda", "malformed_grid", "negative_lambda",
+                                  "train_count_with_lambda", "train_count_with_mle"])
     def test_flags_are_checked_before_the_bundle_is_opened(self, tmp_path, capsys, selector):
         missing = str(tmp_path / "missing.bin")
         out = tmp_path / "fit.json"
@@ -578,16 +595,14 @@ class TestTheory:
         }
         assert manifest["seed"] == 5
 
+    RATE = {
+        "plan": {"dims": [4], "replicates": 1, "n_paths": 50, "n_train": 40},
+        "points": [40, 80],
+        "reps": 1,
+    }
+
     def test_rate_sweep(self, tmp_path, capsys):
-        config = _write_config(
-            tmp_path,
-            "r.json",
-            {
-                "plan": {"dims": [4], "replicates": 1, "n_paths": 50, "n_train": 40},
-                "points": [40, 80],
-                "reps": 1,
-            },
-        )
+        config = _write_config(tmp_path, "r.json", self.RATE)
         out = str(tmp_path / "rate.json")
         assert main(["theory", "rate", "--config", config, "--out", out]) == 0
         assert "fitted exponent" in capsys.readouterr().out
@@ -735,7 +750,7 @@ class TestEntryPoint:
 
 
 class TestScipyImport:
-    """Only the exact transition loads scipy; every Euler command runs on numpy alone."""
+    """No command loads scipy: the package runs on numpy alone."""
 
     # Runs each argument list of the JSON in argv[1] through ``main`` in a fresh interpreter,
     # then prints the exit codes and the scipy modules loaded.
@@ -770,13 +785,25 @@ class TestScipyImport:
         ])
         assert loaded == []
 
-    def test_the_exact_sampler_loads_scipy_and_writes_the_same_bundle(self, tmp_path):
+    def test_exact_and_theory_commands_never_load_scipy_and_write_the_same_bundle(self, tmp_path):
         config = _simulate_config(method="exact", n_paths=4)
+        drift = {"drift": config["drift"]["matrix"]}
+        kl = {"a1": [[-1.0, 0.1], [-0.1, -1.0]], "a2": [[-1.0, -0.1], [0.1, -1.0]], "n_paths": 10}
         bundle = str(tmp_path / "paths.bin")
-        loaded = self._run([["simulate", "--config", _write_config(tmp_path, "sim.json", config),
-                             "--out", bundle]])
-        assert "scipy.linalg" in loaded
-        drift = DriftMatrix(2, np.array(config["drift"]["matrix"]))
+        loaded = self._run([
+            ["simulate", "--config", _write_config(tmp_path, "sim.json", config), "--out", bundle],
+            ["theory", "cinfty", "--config", _write_config(tmp_path, "c.json", drift),
+             "--out", str(tmp_path / "cinfty.json")],
+            ["theory", "concentration", "--config",
+             _write_config(tmp_path, "conc.json", {**drift, "n_list": [20], "reps": 1, "seed": 5}),
+             "--out", str(tmp_path / "conc.json")],
+            ["theory", "rate", "--config", _write_config(tmp_path, "rate.json", TestTheory.RATE),
+             "--out", str(tmp_path / "rate.json")],
+            ["theory", "kl", "--config", _write_config(tmp_path, "kl.json", kl),
+             "--out", str(tmp_path / "kl.json")],
+        ])
+        assert loaded == []
         expected = tmp_path / "expected.bin"
-        save_bundle(simulate_exact(drift, InitialLaw(), 4, 1.0, 0.01, seed=7), expected)
+        save_bundle(simulate_exact(DriftMatrix(2, np.array(config["drift"]["matrix"])), InitialLaw(),
+                                   4, 1.0, 0.01, seed=7), expected)
         assert Path(bundle).read_bytes() == expected.read_bytes()

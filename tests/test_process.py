@@ -14,16 +14,20 @@ from sparse_ou import (
     PathBundle,
     UnsupportedInputError,
     bundle_to_csv,
+    compute_c_infty,
     load_bundle,
     matrix_exponential,
     mix_seed,
     noise_gramian,
     path_stream,
+    process,
     save_bundle,
     simulate_euler,
     simulate_exact,
+    theory,
     transition_matrix,
 )
+from sparse_ou.experiments import DriftScheme, generate_drift
 from sparse_ou.process import _path_streams, block_rows, path_blocks
 
 
@@ -94,6 +98,50 @@ class TestMatrixExponential:
             got = matrix_exponential(m)
             want = taylor_expm(m)
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    # scipy.linalg.expm is the oracle below; it is imported in the tests only, since the
+    # package itself runs on numpy alone. Gaps are relative, in the 1-norm.
+    @staticmethod
+    def _gap_to_scipy(m):
+        from scipy.linalg import expm
+
+        want = expm(m)
+        return np.abs(matrix_exponential(m) - want).sum(axis=0).max() / np.abs(want).sum(axis=0).max()
+
+    # 1-norms up to 5 need no squaring, 5 to 50 up to 4 squarings, 100 to 500 take 5 to 7.
+    @pytest.mark.parametrize("low, high, bound", [(0.01, 5.0, 1e-12), (5.0, 50.0, 1e-11),
+                                                  (100.0, 500.0, 1e-10)],
+                             ids=["small_norms", "middle_norms", "large_norms"])
+    def test_matches_scipy_on_random_matrices(self, low, high, bound):
+        rng = np.random.default_rng(20)
+        for _ in range(100):
+            dim = int(rng.integers(1, 13))
+            m = rng.normal(size=(dim, dim))
+            m *= rng.uniform(low, high) / np.abs(m).sum(axis=0).max()
+            assert self._gap_to_scipy(m) <= bound
+
+    @pytest.mark.parametrize("dim, eigenvalue, coupling", [(12, -1.0, 1.0), (12, -1.0, 20.0),
+                                                           (6, 0.5, 50.0)])
+    def test_matches_scipy_on_jordan_like_matrices(self, dim, eigenvalue, coupling):
+        m = eigenvalue * np.eye(dim) + np.diag(np.full(dim - 1, coupling), 1)
+        assert self._gap_to_scipy(m) <= 1e-13
+
+    def test_matches_scipy_on_the_blocks_the_package_builds(self, monkeypatch):
+        # Records every block that the exact transition (Van Loan) and compute_c_infty exponentiate.
+        blocks = []
+
+        def recording(m):
+            blocks.append(np.array(m))
+            return matrix_exponential(m)
+
+        monkeypatch.setattr(process, "matrix_exponential", recording)
+        monkeypatch.setattr(theory, "matrix_exponential", recording)
+        transition_matrix(generate_drift(25, DriftScheme(), 3), 0.01)
+        compute_c_infty(generate_drift(25, DriftScheme(), 3))
+        compute_c_infty(generate_drift(8, DriftScheme(), 4), np.eye(8), 5.0)
+        assert [len(m) for m in blocks] == [50, 100, 32]
+        for m in blocks:
+            assert self._gap_to_scipy(m) <= 1e-14
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
