@@ -1,10 +1,12 @@
 """Benchmark protocol comparing the three estimators across dimensions.
 
 For each dimension ``d`` a single sparse drift is drawn and reused across
-replicates. Every replicate simulates fresh paths, splits them into a
-training prefix and validation suffix, fits the unpenalized estimator on the
-training statistics and the two penalized estimators with hold-out selection
-of the level, and records scaled errors plus support recovery.
+replicates. Each replicate is one ``run_cell``, the package's only fit path
+(``theory.rate_sweep`` runs its cells too): it simulates fresh paths, splits
+them into a training prefix and validation suffix, fits the unpenalized
+estimator on the training statistics and the two penalized estimators with
+hold-out selection of the level, and records scaled errors plus support
+recovery.
 
 Seeding is fully deterministic: the drift for dimension ``d`` uses
 ``mix_seed(master_seed, 1, d)`` and the paths of replicate ``r`` use
@@ -198,9 +200,7 @@ def support_f1(estimate, true_support, threshold):
     truth = set(true_support)
     if not found and not truth:
         return 1.0
-    tp = len(found & truth)
-    denominator = 2 * tp + len(found - truth) + len(truth - found)
-    return 2.0 * tp / denominator if denominator else 0.0
+    return 2.0 * len(found & truth) / (len(found) + len(truth))
 
 
 def holdout_stats(drift, plan, n_paths, n_train, seed):
@@ -214,12 +214,14 @@ def holdout_stats(drift, plan, n_paths, n_train, seed):
     return block_stats(blocks, drift.dim, plan.terminal, plan.step, n_train)
 
 
-def _run_cell(plan, drift, dim, replicate):
-    train_stats, valid_stats = holdout_stats(drift, plan, plan.n_paths, plan.n_train,
-                                             mix_seed(plan.master_seed, 2, dim, replicate))
+def run_cell(plan, drift, replicate, seed, n_paths, n_train, estimators):
+    """Fit ``estimators`` on one cell's ``holdout_stats``: ``(rows, {name: estimate})``.
+    A failed fit keeps its row, with status ``"failed: <error>"``, and has no estimate."""
+    train_stats, valid_stats = holdout_stats(drift, plan, n_paths, n_train, seed)
+    dim = drift.dim
     rows = []
-    estimates = {"truth": drift.entries}
-    for name in _ESTIMATORS:
+    estimates = {}
+    for name in estimators:
         fields = {}
         begin = time.perf_counter()
         try:
@@ -243,10 +245,7 @@ def _run_cell(plan, drift, dim, replicate):
                           scaled_l1=float(np.sum(np.abs(delta))) / dim,
                           support_f1=support_f1(estimate, drift.support, plan.support_threshold))
         rows.append(ExperimentRow(dim, replicate, name, **fields))
-    if dim not in plan.heatmap_dims:
-        return rows, []
-    return rows, [HeatmapRecord(dim, replicate, name, np.array(matrix))
-                  for name, matrix in estimates.items()]
+    return rows, estimates
 
 
 def worker_count(threads):
@@ -277,7 +276,8 @@ def run_experiment(plan, threads=1, verbose=False):
     """
     threads = worker_count(threads)
     drifts = {dim: plan.drift(dim) for dim in plan.dims}
-    cells = [(plan, drifts[dim], dim, replicate)
+    cells = [(plan, drifts[dim], replicate, mix_seed(plan.master_seed, 2, dim, replicate),
+              plan.n_paths, plan.n_train, _ESTIMATORS)
              for dim in plan.dims for replicate in range(plan.replicates)]
     threads = min(threads, len(cells))
     rows = []
@@ -286,12 +286,14 @@ def run_experiment(plan, threads=1, verbose=False):
     # profilers see them.
     with (concurrent.futures.ProcessPoolExecutor(max_workers=threads) if threads > 1
           else contextlib.nullcontext()) as pool:
-        outcomes = (pool.map if pool else map)(_run_cell, *zip(*cells))
-        for (_, _, dim, replicate), (cell_rows, cell_maps) in zip(cells, outcomes):
+        outcomes = (pool.map if pool else map)(run_cell, *zip(*cells))
+        for (_, drift, replicate, *_), (cell_rows, estimates) in zip(cells, outcomes):
             rows.extend(cell_rows)
-            heatmaps.extend(cell_maps)
+            if drift.dim in plan.heatmap_dims:
+                heatmaps.extend(HeatmapRecord(drift.dim, replicate, name, np.array(matrix))
+                                for name, matrix in {"truth": drift.entries, **estimates}.items())
             if verbose and replicate == plan.replicates - 1:
-                print("dim %d done" % dim, file=sys.stderr)
+                print("dim %d done" % drift.dim, file=sys.stderr)
     return ExperimentReport(plan=plan, rows=rows, heatmaps=heatmaps, drifts=drifts)
 
 

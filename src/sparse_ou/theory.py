@@ -9,9 +9,9 @@ whose extreme eigenvalues ``kappa_min``/``kappa_max`` govern the curvature
 of the estimation problem. This module computes ``C(T)`` in closed form from
 one Van Loan block exponential over a short step, doubled up to ``T``,
 checks concentration of the empirical second-moment statistic around it,
-runs error-rate sweeps for the penalized estimators, and provides the
-antisymmetric drift family whose pairwise path-law divergence has a closed
-form.
+runs error-rate sweeps through the study's cell (``experiments.run_cell``),
+and provides the antisymmetric drift family whose pairwise path-law
+divergence has a closed form.
 """
 
 import dataclasses
@@ -20,9 +20,9 @@ import math
 import numpy as np
 
 from .errors import NumericalError, UnsupportedInputError
-from .experiments import ExperimentPlan, holdout_stats
+from .experiments import ExperimentPlan, run_cell
 from .files import read_value
-from .model_select import cross_validate
+from .model_select import PENALTIES
 from .process import DriftMatrix, InitialLaw, matrix_exponential, mix_seed, path_blocks, path_stream
 from .suffstats import block_stats
 
@@ -245,8 +245,9 @@ def rate_sweep(axis: str, plan: ExperimentPlan, points: tuple, reps: int, p: int
         horizon, step and master seed. The drift is drawn once and reused
         across all points.
     points : sequence of int
-        Training sample sizes ``N``, each at least 8; ``max(N // 4, 8)``
-        validation paths are added to each.
+        At least two distinct training sample sizes ``N``, each at least 8;
+        each (N, replicate) is one ``experiments.run_cell``, run in this
+        process, with ``max(N // 4, 8)`` validation paths added.
     reps : int
         Replicates per point.
     p : {1, 2}
@@ -258,7 +259,8 @@ def rate_sweep(axis: str, plan: ExperimentPlan, points: tuple, reps: int, p: int
     -------
     RateCheckReport
         ``points`` holds (N, mean l2 error), ``fitted_exponent`` the
-        least-squares slope of log mean error against log N.
+        least-squares slope of log mean error against log N. A failed fit
+        raises ``NumericalError`` naming N and the replicate.
     """
     if axis != "N":
         raise ValueError("only the 'N' sweep axis is supported")
@@ -266,37 +268,32 @@ def rate_sweep(axis: str, plan: ExperimentPlan, points: tuple, reps: int, p: int
         raise ValueError("p must be 1 or 2")
     if reps < 1:
         raise ValueError("reps must be positive")
+    estimator = {kind: name for name, kind in PENALTIES.items()}.get(penalty)
+    if estimator is None:
+        raise ValueError("penalty must be 'l1' or 'sorted_l1'")
     sizes = _sample_sizes(points, "points")
-    if len(sizes) < 2 or any(n < 8 for n in sizes):
-        raise ValueError("points must contain at least two sample sizes >= 8")
+    if len(set(sizes)) < 2 or any(n < 8 for n in sizes):
+        raise ValueError("points must contain at least two distinct sample sizes >= 8")
     dim = plan.dims[0]
     drift = plan.drift(dim)
     sparsity = drift.nnz
     means = []
     for n_train in sizes:
-        n_valid = max(n_train // 4, 8)
         errors = []
         for replicate in range(reps):
-            train, valid = holdout_stats(drift, plan, n_train + n_valid, n_train,
-                                         mix_seed(plan.master_seed, 3, n_train, replicate))
-            report = cross_validate(train, valid, plan.grid, penalty=penalty,
-                                    config=plan.solver)
-            delta = report.result.estimate.entries - drift.entries
-            errors.append(float(np.linalg.norm(delta)))
+            rows, estimates = run_cell(plan, drift, replicate,
+                                       mix_seed(plan.master_seed, 3, n_train, replicate),
+                                       n_train + max(n_train // 4, 8), n_train, (estimator,))
+            if estimator not in estimates:
+                raise NumericalError("fit at N=%d, replicate %d %s"
+                                     % (n_train, replicate, rows[0].status))
+            errors.append(float(np.linalg.norm(estimates[estimator] - drift.entries)))
         means.append(float(np.mean(errors)))
     slope = float(np.polyfit(np.log(sizes), np.log(means), 1)[0])
-    psi = [
-        sparsity ** (1.0 / p) * math.sqrt(math.log(math.e * dim * dim / sparsity) / n)
-        for n in sizes
-    ]
-    return RateCheckReport(
-        sweep_axis="N",
-        points=list(zip(sizes, means)),
-        fitted_exponent=slope,
-        expected_exponent=-0.5,
-        psi=psi,
-        p=p,
-    )
+    psi = [sparsity ** (1.0 / p) * math.sqrt(math.log(math.e * dim * dim / sparsity) / n)
+           for n in sizes]
+    return RateCheckReport(sweep_axis="N", points=list(zip(sizes, means)), fitted_exponent=slope,
+                           expected_exponent=-0.5, psi=psi, p=p)
 
 
 def minimax_family(dim, sparsity, w, count, seed):

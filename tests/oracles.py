@@ -7,7 +7,10 @@ Euler recursion over all paths at once, exhaustive enumeration and a min-max for
 proximal map, cyclic coordinate descent for the l1 problem, a
 discretized log likelihood ratio for path-law divergences, and small random
 problem factories. None of it reuses package internals beyond public data
-types.
+types, except ``looped_rate_points``: the rate sweep's own loop of hold-out
+statistics, selection and error, on the package's ``holdout_stats`` and
+``cross_validate``, as it ran before the sweep fitted through the study's
+cell.
 """
 
 import itertools
@@ -15,7 +18,8 @@ import itertools
 import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 
-from sparse_ou import SuffStats, path_stream
+from sparse_ou import SuffStats, cross_validate, mix_seed, path_stream
+from sparse_ou.experiments import holdout_stats
 
 
 def taylor_expm(matrix, terms=80):
@@ -206,3 +210,18 @@ def stable_random_drift(rng, dim, margin=0.5):
     a = rng.normal(size=(dim, dim)) / np.sqrt(dim)
     shift = float(np.max(np.linalg.eigvals(a).real)) + margin
     return a - shift * np.eye(dim)
+
+
+def looped_rate_points(plan, points, reps, penalty):
+    """``rate_sweep``'s (N, mean l2 error) points from a plain loop over (N, replicate)."""
+    drift = plan.drift(plan.dims[0])
+    means = []
+    for n_train in points:
+        errors = []
+        for replicate in range(reps):
+            train, valid = holdout_stats(drift, plan, n_train + max(n_train // 4, 8), n_train,
+                                         mix_seed(plan.master_seed, 3, n_train, replicate))
+            report = cross_validate(train, valid, plan.grid, penalty=penalty, config=plan.solver)
+            errors.append(float(np.linalg.norm(report.result.estimate.entries - drift.entries)))
+        means.append(float(np.mean(errors)))
+    return list(zip(points, means))

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from sparse_ou import (
-    DriftMatrix, InitialLaw, bundle_to_csv, cli, load_bundle, save_bundle, simulate_exact,
+    DriftMatrix, InitialLaw, bundle_to_csv, cli, experiments, load_bundle, save_bundle,
+    simulate_exact,
 )
 from sparse_ou.cli import main
 from sparse_ou.experiments import DriftScheme, generate_drift
@@ -609,6 +610,24 @@ class TestTheory:
         document = json.loads((tmp_path / "rate.json").read_text())
         assert np.isfinite(document["fitted_exponent"])
         assert document["expected_exponent"] == -0.5
+
+    def test_rate_needs_two_distinct_sample_sizes(self, tmp_path, capsys):
+        config = _write_config(tmp_path, "r.json", {**self.RATE, "points": [40, 40]})
+        out = tmp_path / "rate.json"
+        assert main(["theory", "rate", "--config", config, "--out", str(out)]) == 2
+        assert "two distinct sample sizes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rate_failed_fit_exit_code(self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise FloatingPointError("solver diverged")
+
+        monkeypatch.setattr(experiments, "cross_validate", failing)
+        config = _write_config(tmp_path, "r.json", self.RATE)
+        out = tmp_path / "rate.json"
+        assert main(["theory", "rate", "--config", config, "--out", str(out)]) == 4
+        assert "N=40, replicate 0 failed: solver diverged" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_kl_family_pair(self, tmp_path, capsys):
         b = [[0.0, 1.0], [-1.0, 0.0]]

@@ -8,7 +8,8 @@ import pytest
 from scipy import integrate
 from scipy.linalg import expm
 
-from oracles import lyapunov_c_infty, stable_random_drift
+import sparse_ou.experiments
+from oracles import looped_rate_points, lyapunov_c_infty, stable_random_drift
 from sparse_ou import (
     DriftMatrix,
     ExperimentPlan,
@@ -411,8 +412,42 @@ class TestRateSweep:
         plan = ExperimentPlan(dims=(5,), replicates=1, n_paths=50, n_train=40)
         with pytest.raises(ValueError):
             rate_sweep("N", plan, points=(40,), reps=1)
+        # One distinct abscissa leaves the fitted slope undetermined.
+        with pytest.raises(ValueError, match="two distinct sample sizes"):
+            rate_sweep("N", plan, points=(40, 40), reps=1)
         with pytest.raises(ValueError):
             rate_sweep("N", plan, points=(4, 40), reps=1)
         for points in ((40.9, 80), (40, "80"), (40, True)):
             with pytest.raises(ValueError, match="points must contain integers"):
                 rate_sweep("N", plan, points=points, reps=1)
+
+    @pytest.mark.parametrize("penalty", ["l1", "sorted_l1"])
+    def test_points_match_the_looped_oracle(self, penalty):
+        plan = ExperimentPlan(dims=(4,), replicates=1, n_paths=50, n_train=40)
+        report = rate_sweep("N", plan, points=(40, 80), reps=2, penalty=penalty)
+        assert report.points == looped_rate_points(plan, (40, 80), 2, penalty)
+
+    def test_unknown_penalty_rejected_before_any_path_is_drawn(self, monkeypatch):
+        def no_paths(*args, **kwargs):
+            raise AssertionError("paths drawn before the penalty was checked")
+
+        monkeypatch.setattr(sparse_ou.experiments, "path_blocks", no_paths)
+        plan = ExperimentPlan(dims=(4,), replicates=1, n_paths=50, n_train=40)
+        with pytest.raises(ValueError, match="penalty must be"):
+            rate_sweep("N", plan, points=(40, 80), reps=1, penalty="l2")
+
+    def test_failed_fit_names_the_point(self, monkeypatch):
+        calls = []
+        cross_validate = sparse_ou.experiments.cross_validate
+
+        def failing(*args, **kwargs):
+            # The third fit is (N=80, replicate 0).
+            calls.append(None)
+            if len(calls) == 3:
+                raise NumericalError("solver diverged")
+            return cross_validate(*args, **kwargs)
+
+        monkeypatch.setattr(sparse_ou.experiments, "cross_validate", failing)
+        plan = ExperimentPlan(dims=(4,), replicates=1, n_paths=50, n_train=40)
+        with pytest.raises(NumericalError, match=r"N=80, replicate 0 failed: solver diverged"):
+            rate_sweep("N", plan, points=(40, 80), reps=2)
