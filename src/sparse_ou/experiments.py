@@ -2,11 +2,11 @@
 
 For each dimension ``d`` a single sparse drift is drawn and reused across
 replicates. Each replicate is one ``run_cell``, the package's only fit path
-(``theory.rate_sweep`` runs its cells too): it simulates fresh paths, splits
-them into a training prefix and validation suffix, fits the unpenalized
-estimator on the training statistics and the two penalized estimators with
-hold-out selection of the level, and records scaled errors plus support
-recovery.
+(``theory.rate_sweep`` runs its cells too): it simulates the plan's paths,
+splits them into a training prefix and validation suffix, fits the
+unpenalized estimator on the training statistics and the two penalized
+estimators with hold-out selection of the level, and records one row per
+fit: the estimate, its scaled errors and its support recovery.
 
 Seeding is fully deterministic: the drift for dimension ``d`` uses
 ``mix_seed(master_seed, 1, d)`` and the paths of replicate ``r`` use
@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from .files import from_plain, read_arguments, read_value, to_plain, write_csv  # noqa: F401
+from .files import from_plain, read_value, to_plain, write_csv
 from .model_select import PENALTIES, CvGrid, cross_validate
 from .process import DriftMatrix, InitialLaw, mix_seed, path_blocks, path_stream
 from .solvers import SolverConfig, solve_mle
@@ -122,11 +122,11 @@ def plan_from_dict(document):
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class ExperimentRow:
-    """Metrics of one estimator in one (dimension, replicate) cell.
+    """One estimator's fit in one (dimension, replicate) cell, and its metrics.
 
     ``status`` is ``"ok"`` or ``"failed: <error>"``; a failed fit keeps the
-    NaN metrics. ``lambda_used`` is NaN for the unpenalized fit.
-    ``grid_edge`` marks a hold-out pick at the smallest or largest level of
+    NaN metrics and its ``estimate`` is ``None``. ``lambda_used`` is NaN for
+    the unpenalized fit. ``grid_edge`` marks a hold-out pick at an end of
     the grid, ``converged`` whether the reported fit met its tolerance.
     """
 
@@ -141,6 +141,7 @@ class ExperimentRow:
     status: str = "ok"
     grid_edge: bool = False
     converged: bool = True
+    estimate: np.ndarray | None = None
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -214,13 +215,12 @@ def holdout_stats(drift, plan, n_paths, n_train, seed):
     return block_stats(blocks, drift.dim, plan.terminal, plan.step, n_train)
 
 
-def run_cell(plan, drift, replicate, seed, n_paths, n_train, estimators):
-    """Fit ``estimators`` on one cell's ``holdout_stats``: ``(rows, {name: estimate})``.
-    A failed fit keeps its row, with status ``"failed: <error>"``, and has no estimate."""
-    train_stats, valid_stats = holdout_stats(drift, plan, n_paths, n_train, seed)
+def run_cell(plan, drift, replicate, seed, estimators=_ESTIMATORS):
+    """One ``ExperimentRow`` per estimator, fitted on ``holdout_stats`` of ``plan.n_paths``
+    paths split at ``plan.n_train``; a failed fit's row has status ``"failed: <error>"``."""
+    train_stats, valid_stats = holdout_stats(drift, plan, plan.n_paths, plan.n_train, seed)
     dim = drift.dim
     rows = []
-    estimates = {}
     for name in estimators:
         fields = {}
         begin = time.perf_counter()
@@ -233,19 +233,17 @@ def run_cell(plan, drift, replicate, seed, n_paths, n_train, estimators):
                 )
                 fit = report.result
                 fields.update(lambda_used=report.chosen_lambda, grid_edge=report.grid_edge)
-            estimates[name] = fit.estimate.entries
-            fields["converged"] = fit.converged
+            estimate = fit.estimate.entries
+            delta = estimate - drift.entries
+            fields.update(estimate=estimate, converged=fit.converged,
+                          scaled_l2sq=float(np.sum(delta * delta)) / dim,
+                          scaled_l1=float(np.sum(np.abs(delta))) / dim,
+                          support_f1=support_f1(estimate, drift.support, plan.support_threshold))
         except Exception as exc:  # keep the sweep alive, mark the cell
             fields["status"] = "failed: %s" % (exc,)
         fields["runtime_seconds"] = time.perf_counter() - begin
-        if name in estimates:
-            estimate = estimates[name]
-            delta = estimate - drift.entries
-            fields.update(scaled_l2sq=float(np.sum(delta * delta)) / dim,
-                          scaled_l1=float(np.sum(np.abs(delta))) / dim,
-                          support_f1=support_f1(estimate, drift.support, plan.support_threshold))
         rows.append(ExperimentRow(dim, replicate, name, **fields))
-    return rows, estimates
+    return rows
 
 
 def worker_count(threads):
@@ -276,8 +274,7 @@ def run_experiment(plan, threads=1, verbose=False):
     """
     threads = worker_count(threads)
     drifts = {dim: plan.drift(dim) for dim in plan.dims}
-    cells = [(plan, drifts[dim], replicate, mix_seed(plan.master_seed, 2, dim, replicate),
-              plan.n_paths, plan.n_train, _ESTIMATORS)
+    cells = [(plan, drifts[dim], replicate, mix_seed(plan.master_seed, 2, dim, replicate))
              for dim in plan.dims for replicate in range(plan.replicates)]
     threads = min(threads, len(cells))
     rows = []
@@ -287,11 +284,12 @@ def run_experiment(plan, threads=1, verbose=False):
     with (concurrent.futures.ProcessPoolExecutor(max_workers=threads) if threads > 1
           else contextlib.nullcontext()) as pool:
         outcomes = (pool.map if pool else map)(run_cell, *zip(*cells))
-        for (_, drift, replicate, *_), (cell_rows, estimates) in zip(cells, outcomes):
+        for (_, drift, replicate, _), cell_rows in zip(cells, outcomes):
             rows.extend(cell_rows)
             if drift.dim in plan.heatmap_dims:
+                fits = [(row.estimator, row.estimate) for row in cell_rows if row.estimate is not None]
                 heatmaps.extend(HeatmapRecord(drift.dim, replicate, name, np.array(matrix))
-                                for name, matrix in {"truth": drift.entries, **estimates}.items())
+                                for name, matrix in [("truth", drift.entries), *fits])
             if verbose and replicate == plan.replicates - 1:
                 print("dim %d done" % drift.dim, file=sys.stderr)
     return ExperimentReport(plan=plan, rows=rows, heatmaps=heatmaps, drifts=drifts)

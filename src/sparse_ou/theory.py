@@ -9,9 +9,9 @@ whose extreme eigenvalues ``kappa_min``/``kappa_max`` govern the curvature
 of the estimation problem. This module computes ``C(T)`` in closed form from
 one Van Loan block exponential over a short step, doubled up to ``T``,
 checks concentration of the empirical second-moment statistic around it,
-runs error-rate sweeps through the study's cell (``experiments.run_cell``),
-and provides the antisymmetric drift family whose pairwise path-law
-divergence has a closed form.
+reduces the rows of the study's cells (``experiments.run_cell``) to
+error-rate sweeps, and provides the antisymmetric drift family whose
+pairwise path-law divergence has a closed form.
 """
 
 import dataclasses
@@ -241,13 +241,13 @@ def rate_sweep(axis: str, plan: ExperimentPlan, points: tuple, reps: int, p: int
     axis : str
         Sweep axis; only ``"N"`` (number of training paths) is supported.
     plan : ExperimentPlan
-        Supplies the dimension (``plan.dims[0]``), drift scheme, grid,
-        horizon, step and master seed. The drift is drawn once and reused
-        across all points.
+        Supplies the one dimension (``dims`` must hold exactly one, or
+        ``ValueError`` is raised), drift scheme, grid, horizon, step and
+        master seed. The drift is drawn once and reused across all points.
     points : sequence of int
         At least two distinct training sample sizes ``N``, each at least 8;
-        each (N, replicate) is one ``experiments.run_cell``, run in this
-        process, with ``max(N // 4, 8)`` validation paths added.
+        each (N, replicate) is one ``experiments.run_cell`` row, fitted in
+        this process on ``N`` plus ``max(N // 4, 8)`` validation paths.
     reps : int
         Replicates per point.
     p : {1, 2}
@@ -274,20 +274,21 @@ def rate_sweep(axis: str, plan: ExperimentPlan, points: tuple, reps: int, p: int
     sizes = _sample_sizes(points, "points")
     if len(set(sizes)) < 2 or any(n < 8 for n in sizes):
         raise ValueError("points must contain at least two distinct sample sizes >= 8")
-    dim = plan.dims[0]
+    if len(plan.dims) != 1:
+        raise ValueError("plan must have exactly one dimension, got dims %r" % (list(plan.dims),))
+    (dim,) = plan.dims
     drift = plan.drift(dim)
     sparsity = drift.nnz
     means = []
     for n_train in sizes:
+        cell_plan = dataclasses.replace(plan, n_paths=n_train + max(n_train // 4, 8), n_train=n_train)
         errors = []
         for replicate in range(reps):
-            rows, estimates = run_cell(plan, drift, replicate,
-                                       mix_seed(plan.master_seed, 3, n_train, replicate),
-                                       n_train + max(n_train // 4, 8), n_train, (estimator,))
-            if estimator not in estimates:
-                raise NumericalError("fit at N=%d, replicate %d %s"
-                                     % (n_train, replicate, rows[0].status))
-            errors.append(float(np.linalg.norm(estimates[estimator] - drift.entries)))
+            (row,) = run_cell(cell_plan, drift, replicate,
+                              mix_seed(plan.master_seed, 3, n_train, replicate), (estimator,))
+            if row.estimate is None:
+                raise NumericalError("fit at N=%d, replicate %d %s" % (n_train, replicate, row.status))
+            errors.append(float(np.linalg.norm(row.estimate - drift.entries)))
         means.append(float(np.mean(errors)))
     slope = float(np.polyfit(np.log(sizes), np.log(means), 1)[0])
     psi = [sparsity ** (1.0 / p) * math.sqrt(math.log(math.e * dim * dim / sparsity) / n)

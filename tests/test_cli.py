@@ -618,6 +618,14 @@ class TestTheory:
         assert "two distinct sample sizes" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_rate_default_plan_has_too_many_dimensions(self, tmp_path, capsys):
+        # The default plan's dims are 5..25; a sweep runs at one dimension only.
+        config = _write_config(tmp_path, "r.json", {"points": [40, 80], "reps": 1})
+        out = tmp_path / "rate.json"
+        assert main(["theory", "rate", "--config", config, "--out", str(out)]) == 2
+        assert "plan must have exactly one dimension" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rate_failed_fit_exit_code(self, tmp_path, capsys, monkeypatch):
         def failing(*args, **kwargs):
             raise FloatingPointError("solver diverged")

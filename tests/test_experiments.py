@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import sparse_ou.experiments as experiments
 from sparse_ou import (
     DriftMatrix,
     DriftScheme,
@@ -13,10 +14,12 @@ from sparse_ou import (
     generate_drift,
     plan_from_dict,
     run_experiment,
+    solve_mle,
     summarize,
     support_f1,
 )
-from sparse_ou.experiments import read_arguments, read_value
+from sparse_ou.experiments import holdout_stats, run_cell
+from sparse_ou.files import read_arguments, read_value
 
 TINY = dict(dims=(3, 4), replicates=2, n_paths=40, n_train=32, heatmap_dims=(3,))
 
@@ -135,6 +138,42 @@ class TestRunExperiment:
                 )
                 assert row.scaled_l2sq == pytest.approx(expected, rel=1e-12)
 
+    def test_ok_rows_carry_the_estimate_of_their_metrics(self):
+        report = run_experiment(_tiny_plan())
+        for row in report.rows:
+            drift = report.drifts[row.dim]
+            delta = row.estimate - drift.entries
+            assert row.scaled_l2sq == float(np.sum(delta * delta)) / row.dim
+            assert row.scaled_l1 == float(np.sum(np.abs(delta))) / row.dim
+            assert row.support_f1 == support_f1(row.estimate, drift.support,
+                                                report.plan.support_threshold)
+
+    def test_each_heatmap_is_its_row_estimate(self):
+        report = run_experiment(_tiny_plan())
+        rows = {(row.dim, row.replicate, row.estimator): row for row in report.rows}
+        for record in report.heatmaps:
+            if record.name == "truth":
+                expected = report.drifts[record.dim].entries
+            else:
+                expected = rows[record.dim, record.replicate, record.name].estimate
+            assert np.array_equal(record.matrix, expected)
+
+    def test_cell_fits_the_plan_sizes(self, monkeypatch):
+        drawn = []
+        path_blocks = experiments.path_blocks
+
+        def recording(method, drift, law, n_paths, *args):
+            drawn.append(n_paths)
+            return path_blocks(method, drift, law, n_paths, *args)
+
+        monkeypatch.setattr(experiments, "path_blocks", recording)
+        plan = _tiny_plan(n_paths=50, n_train=36)
+        drift = plan.drift(3)
+        (row,) = run_cell(plan, drift, 0, 7, ("mle",))
+        assert drawn == [50]
+        train_stats, _ = holdout_stats(drift, plan, 50, 36, 7)
+        assert np.array_equal(row.estimate, solve_mle(train_stats).estimate.entries)
+
     def test_threads_do_not_change_results(self):
         plan = _tiny_plan()
         serial = run_experiment(plan, threads=1)
@@ -154,8 +193,6 @@ class TestRunExperiment:
             run_experiment(_tiny_plan(), threads=threads)
 
     def test_failed_cell_is_marked_not_fatal(self, monkeypatch):
-        import sparse_ou.experiments as experiments
-
         original = experiments.solve_mle
 
         def flaky(stats):
@@ -173,8 +210,6 @@ class TestRunExperiment:
         assert ok_dims == {3, 4}
 
     def test_failed_rows_carry_nan_metrics(self, monkeypatch):
-        import sparse_ou.experiments as experiments
-
         def broken(stats):
             raise NumericalError("boom")
 
@@ -183,10 +218,9 @@ class TestRunExperiment:
         row = next(r for r in report.rows if r.estimator == "mle")
         assert np.isnan(row.scaled_l2sq)
         assert np.isnan(row.scaled_l1)
+        assert row.estimate is None
 
     def test_failed_sweeps_keep_the_row_defaults(self, monkeypatch):
-        import sparse_ou.experiments as experiments
-
         def broken(*args, **kwargs):
             raise NumericalError("boom")
 
@@ -201,6 +235,7 @@ class TestRunExperiment:
             assert row.grid_edge is False
             assert row.converged is True
             assert row.runtime_seconds >= 0.0
+            assert row.estimate is None
         assert [r.name for r in report.heatmaps] == ["truth", "mle"]
 
 

@@ -48,6 +48,13 @@ class TestGrid:
     def test_degenerate_grid(self):
         assert CvGrid(-2.0, -2.0, 0.5).values() == [pytest.approx(0.01)]
 
+    def test_step_that_overshoots_the_top_is_cut(self):
+        # round(1 / 0.6) + 1 = 3 levels would reach 10**1.2, above the top.
+        grid = CvGrid(0.0, 1.0, 0.6)
+        values = grid.values()
+        assert values == [1.0, 10.0 ** 0.6]
+        assert max(values) <= 10.0 ** grid.log10_max
+
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
             CvGrid(-1.0, -2.0, 0.5)

@@ -420,6 +420,19 @@ class TestRateSweep:
         for points in ((40.9, 80), (40, "80"), (40, True)):
             with pytest.raises(ValueError, match="points must contain integers"):
                 rate_sweep("N", plan, points=points, reps=1)
+        with pytest.raises(ValueError, match="p must be 1 or 2"):
+            rate_sweep("N", plan, points=(40, 80), reps=1, p=3)
+        with pytest.raises(ValueError, match="reps must be positive"):
+            rate_sweep("N", plan, points=(40, 80), reps=0)
+
+    def test_plan_needs_exactly_one_dimension(self, monkeypatch):
+        def no_paths(*args, **kwargs):
+            raise AssertionError("paths drawn before the dimensions were checked")
+
+        monkeypatch.setattr(sparse_ou.experiments, "path_blocks", no_paths)
+        plan = ExperimentPlan(dims=(4, 5), replicates=1, n_paths=50, n_train=40)
+        with pytest.raises(ValueError, match="plan must have exactly one dimension"):
+            rate_sweep("N", plan, points=(40, 80), reps=1)
 
     @pytest.mark.parametrize("penalty", ["l1", "sorted_l1"])
     def test_points_match_the_looped_oracle(self, penalty):
