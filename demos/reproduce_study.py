@@ -8,8 +8,8 @@ produces. The full study is one command:
 
     sparse-ou reproduce --out-dir study/
 
-and took 12.8-13.3 s with ``--threads 2`` on a 2-CPU host; this miniature
-finishes in a few seconds.
+(its wall time on a 2-CPU host is in the README's ``reproduce`` section);
+this miniature finishes in a few seconds.
 """
 
 import os

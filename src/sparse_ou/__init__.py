@@ -55,7 +55,6 @@ from .experiments import (
     ExperimentPlan,
     ExperimentReport,
     ExperimentRow,
-    HeatmapRecord,
     display_transform,
     export_figure_data,
     generate_drift,
@@ -122,7 +121,6 @@ __all__ = [
     "ExperimentPlan",
     "ExperimentReport",
     "ExperimentRow",
-    "HeatmapRecord",
     "display_transform",
     "export_figure_data",
     "generate_drift",

@@ -13,7 +13,6 @@ resolved configuration, seed, timestamps and output files.
 
 import argparse
 import datetime
-import inspect
 import json
 import os
 import sys
@@ -69,13 +68,6 @@ def _write_manifest(path, command, resolved_config, seed, started, outputs):
     )
 
 
-def _bound_arguments(target, arguments):
-    # Every argument of the call ``target(**arguments)``, defaults applied, in signature order.
-    called = inspect.signature(target).bind(**arguments)
-    called.apply_defaults()
-    return called.arguments
-
-
 def _resolve_threads(args):
     # ``--threads``, else ``SPARSE_OU_THREADS``, else None: one worker per CPU.
     if args.threads is not None:
@@ -114,8 +106,7 @@ def cmd_simulate(args):
         with read_bundle(args.out) as streamed:
             write_bundle_csv(args.csv, *streamed)
         outputs.append(args.csv)
-    _write_manifest(args.out + ".manifest.json", "simulate", _bound_arguments(bundle_blocks, arguments),
-                    header["seed"], started, outputs)
+    _write_manifest(args.out + ".manifest.json", "simulate", arguments, header["seed"], started, outputs)
     print("wrote %d paths (dim %d, grid %d) to %s"
           % (header["n_paths"], header["dim"], header["grid_len"], args.out))
     return 0
@@ -271,7 +262,7 @@ def cmd_theory(args):
         print("kl = %r" % (result,))
 
     _write_manifest(args.out + ".manifest.json", "theory " + args.operation,
-                    _bound_arguments(target, arguments), seed, started, outputs)
+                    arguments, seed, started, outputs)
     return 0
 
 

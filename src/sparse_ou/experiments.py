@@ -1,12 +1,13 @@
 """Benchmark protocol comparing the three estimators across dimensions.
 
-For each dimension ``d`` a single sparse drift is drawn and reused across
-replicates. Each replicate is one ``run_cell``, the package's only fit path
-(``theory.rate_sweep`` runs its cells too): it simulates the plan's paths,
-splits them into a training prefix and validation suffix, fits the
-unpenalized estimator on the training statistics and the two penalized
-estimators with hold-out selection of the level, and records one row per
-fit: the estimate, its scaled errors and its support recovery.
+For each dimension ``d`` the plan owns one sparse drift, ``plan.drift(d)``,
+shared by all replicates. Each replicate is one ``run_cell``, the package's
+only fit path (``theory.rate_sweep`` runs its cells too): it draws that
+drift, simulates the plan's paths, splits them into a training prefix and
+validation suffix, fits the unpenalized estimator on the training
+statistics and the two penalized estimators with hold-out selection of the
+level, and records one row per fit: the estimate, its scaled errors and its
+support recovery.
 
 Seeding is fully deterministic: the drift for dimension ``d`` uses
 ``mix_seed(master_seed, 1, d)`` and the paths of replicate ``r`` use
@@ -145,19 +146,11 @@ class ExperimentRow:
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class HeatmapRecord:
-    dim: int
-    replicate: int
-    name: str
-    matrix: np.ndarray
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
 class ExperimentReport:
+    """The plan of a study and its rows, in cell order; every drift is ``plan.drift(d)``."""
+
     plan: ExperimentPlan
     rows: list
-    heatmaps: list
-    drifts: dict
 
     @functools.cached_property
     def curves(self):
@@ -215,11 +208,12 @@ def holdout_stats(drift, plan, n_paths, n_train, seed):
     return block_stats(blocks, drift.dim, plan.terminal, plan.step, n_train)
 
 
-def run_cell(plan, drift, replicate, seed, estimators=_ESTIMATORS):
+def run_cell(plan, dim, replicate, seed, estimators=_ESTIMATORS):
     """One ``ExperimentRow`` per estimator, fitted on ``holdout_stats`` of ``plan.n_paths``
-    paths split at ``plan.n_train``; a failed fit's row has status ``"failed: <error>"``."""
+    paths of ``plan.drift(dim)`` split at ``plan.n_train``; a failed fit's row has status
+    ``"failed: <error>"``."""
+    drift = plan.drift(dim)
     train_stats, valid_stats = holdout_stats(drift, plan, plan.n_paths, plan.n_train, seed)
-    dim = drift.dim
     rows = []
     for name in estimators:
         fields = {}
@@ -273,26 +267,20 @@ def run_experiment(plan, threads=1, verbose=False):
     ExperimentReport
     """
     threads = worker_count(threads)
-    drifts = {dim: plan.drift(dim) for dim in plan.dims}
-    cells = [(plan, drifts[dim], replicate, mix_seed(plan.master_seed, 2, dim, replicate))
+    cells = [(plan, dim, replicate, mix_seed(plan.master_seed, 2, dim, replicate))
              for dim in plan.dims for replicate in range(plan.replicates)]
     threads = min(threads, len(cells))
     rows = []
-    heatmaps = []
     # One worker runs the cells in this process, so a caller's patches and
     # profilers see them.
     with (concurrent.futures.ProcessPoolExecutor(max_workers=threads) if threads > 1
           else contextlib.nullcontext()) as pool:
         outcomes = (pool.map if pool else map)(run_cell, *zip(*cells))
-        for (_, drift, replicate, _), cell_rows in zip(cells, outcomes):
+        for (_, dim, replicate, _), cell_rows in zip(cells, outcomes):
             rows.extend(cell_rows)
-            if drift.dim in plan.heatmap_dims:
-                fits = [(row.estimator, row.estimate) for row in cell_rows if row.estimate is not None]
-                heatmaps.extend(HeatmapRecord(drift.dim, replicate, name, np.array(matrix))
-                                for name, matrix in [("truth", drift.entries), *fits])
             if verbose and replicate == plan.replicates - 1:
-                print("dim %d done" % drift.dim, file=sys.stderr)
-    return ExperimentReport(plan=plan, rows=rows, heatmaps=heatmaps, drifts=drifts)
+                print("dim %d done" % dim, file=sys.stderr)
+    return ExperimentReport(plan, rows)
 
 
 def display_transform(matrix):
@@ -307,8 +295,9 @@ def export_figure_data(report, out_dir):
     Outputs: ``rows.csv`` with every per-cell metric, one
     ``curve_<metric>_<estimator>.csv`` per error metric and estimator with
     columns (d, mean, std) over successful replicates, and raw plus
-    display-transformed heatmap matrices. All content is deterministic for a
-    fixed report.
+    display-transformed heatmap matrices for each cell of ``plan.heatmap_dims``:
+    ``plan.drift(d)`` as ``truth``, then each row's estimate in estimator
+    order. All content is deterministic for a fixed report.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -326,14 +315,19 @@ def export_figure_data(report, out_dir):
         write_csv(path, ["d", "mean", "std"], curve)
         written.append(path)
 
-    for record in report.heatmaps:
-        base = "heatmap_d%d_rep%d_%s" % (record.dim, record.replicate, record.name)
-        raw_path = os.path.join(out_dir, base + ".csv")
-        write_csv(raw_path, None, record.matrix.tolist())
-        written.append(raw_path)
-        display_path = os.path.join(out_dir, base + "_display.csv")
-        write_csv(display_path, None, display_transform(record.matrix).tolist())
-        written.append(display_path)
+    cell = None
+    for row in report.rows:
+        if row.dim not in report.plan.heatmap_dims:
+            continue
+        heatmaps = [] if row.estimate is None else [(row.estimator, row.estimate)]
+        if (row.dim, row.replicate) != cell:
+            cell = row.dim, row.replicate
+            heatmaps.insert(0, ("truth", report.plan.drift(row.dim).entries))
+        for name, matrix in heatmaps:
+            base = os.path.join(out_dir, "heatmap_d%d_rep%d_%s" % (row.dim, row.replicate, name))
+            write_csv(base + ".csv", None, matrix.tolist())
+            write_csv(base + "_display.csv", None, display_transform(matrix).tolist())
+            written += [base + ".csv", base + "_display.csv"]
 
     return written
 

@@ -50,7 +50,8 @@ def to_plain(value):
 
 
 def read_arguments(target, document, name, **readers):
-    """Keyword arguments for ``target`` read from the JSON object ``document``.
+    """Every argument of ``target``, defaults applied, in signature order, read
+    from the JSON object ``document``.
 
     The signature of ``target`` is the schema, and ``name`` labels the
     object in errors. Keys must be parameters of ``target``, and every
@@ -70,9 +71,10 @@ def read_arguments(target, document, name, **readers):
         raise ValueError("missing %s field %r" % (name, missing[0]))
     if missing:
         raise ValueError("missing %s fields: %s" % (name, ", ".join(missing)))
-    return {key: readers[key](value) if key in readers
-            else read_value(parameters[key].annotation, value, key)
-            for key, value in document.items()}
+    return {key: parameter.default if key not in document
+            else readers[key](document[key]) if key in readers
+            else read_value(parameter.annotation, document[key], key)
+            for key, parameter in parameters.items()}
 
 
 def from_plain(cls, document, name):

@@ -20,7 +20,7 @@ PENALTIES = {"lasso": "l1", "slope": "sorted_l1"}
 
 @dataclasses.dataclass(frozen=True)
 class CvGrid:
-    """Logarithmic grid ``10**(log10_min + k * log10_step) <= 10**log10_max``."""
+    """Logarithmic grid ``10**(log10_min + k * log10_step) <= 10**log10_max``, at most 1000 levels."""
 
     log10_min: float
     log10_max: float
@@ -33,6 +33,8 @@ class CvGrid:
             raise ValueError("log10_min must not exceed log10_max")
         if self.log10_step <= 0:
             raise ValueError("log10_step must be positive")
+        if not (self.log10_max - self.log10_min) / self.log10_step < 1000:
+            raise ValueError("the grid must have at most 1000 levels")
 
     @classmethod
     def default(cls):

@@ -155,10 +155,10 @@ def _proximal_path(stats, penalty, prox, config, warm_start, lambda_used, penalt
 
 
 def check_level(lam):
-    """Return the regularization level ``lam`` as a float; raise ``ValueError`` if negative or NaN."""
+    """Return the level ``lam`` as a float; raise ``ValueError`` unless it is finite and nonnegative."""
     lam = float(lam)
-    if not lam >= 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0 <= lam < np.inf:
+        raise ValueError("lam must be nonnegative and finite")
     return lam
 
 

@@ -284,7 +284,7 @@ def rate_sweep(axis: str, plan: ExperimentPlan, points: tuple, reps: int, p: int
         cell_plan = dataclasses.replace(plan, n_paths=n_train + max(n_train // 4, 8), n_train=n_train)
         errors = []
         for replicate in range(reps):
-            (row,) = run_cell(cell_plan, drift, replicate,
+            (row,) = run_cell(cell_plan, dim, replicate,
                               mix_seed(plan.master_seed, 3, n_train, replicate), (estimator,))
             if row.estimate is None:
                 raise NumericalError("fit at N=%d, replicate %d %s" % (n_train, replicate, row.status))

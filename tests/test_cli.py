@@ -244,10 +244,13 @@ class TestEstimate:
     @pytest.mark.parametrize("selector, message", [
         (["--lambda", "-1"], "lam must be nonnegative"),
         (["--lambda", "nan"], "lam must be nonnegative"),
+        (["--lambda", "inf"], "lam must be nonnegative and finite"),
         (["--grid=0:-1:1"], "log10_min must not exceed log10_max"),
         (["--grid=a:b:c"], "--grid components must be numbers"),
         (["--grid=-3:inf:1"], "grid bounds and step must be finite"),
-    ], ids=["negative_lambda", "nan_lambda", "reversed_grid", "non_numeric_grid", "infinite_grid"])
+        (["--grid=-3:0:1e-9"], "the grid must have at most 1000 levels"),
+    ], ids=["negative_lambda", "nan_lambda", "infinite_lambda", "reversed_grid", "non_numeric_grid",
+            "infinite_grid", "oversized_grid"])
     def test_invalid_selector_value(self, tmp_path, capsys, monkeypatch, selector, message):
         bundle = _make_bundle(tmp_path)
         opened = []
@@ -521,7 +524,7 @@ class TestReproduce:
                                 status=status,
                             )
                         )
-            return ExperimentReport(plan=plan, rows=rows, heatmaps=[], drifts={})
+            return ExperimentReport(plan, rows)
 
         monkeypatch.setattr(cli, "run_experiment", stub)
         plan = _write_config(tmp_path, "plan.json", self.PLAN)

@@ -30,6 +30,17 @@ def _tiny_plan(**overrides):
     return ExperimentPlan(**settings)
 
 
+def _read_matrix(path):
+    # A heatmap CSV written by ``export_figure_data``: one ``repr`` per entry.
+    return np.array([[float(value) for value in line.split(",")]
+                     for line in path.read_text().splitlines()])
+
+
+def _heatmap_names(written):
+    return [name for name in (str(path).split("/")[-1] for path in written)
+            if name.startswith("heatmap_")]
+
+
 class TestDriftGeneration:
     def test_deterministic(self):
         plan = ExperimentPlan()
@@ -112,51 +123,59 @@ class TestRunExperiment:
             else:
                 assert row.lambda_used > 0.0
 
-    def test_same_drift_across_replicates(self):
-        report = run_experiment(_tiny_plan())
-        assert set(report.drifts.keys()) == {3, 4}
+    def test_same_drift_across_replicates(self, tmp_path):
+        plan = _tiny_plan(replicates=3, heatmap_dims=(3, 4))
+        export_figure_data(run_experiment(plan), tmp_path)
+        for dim in plan.dims:
+            texts = {(tmp_path / ("heatmap_d%d_rep%d_truth.csv" % (dim, replicate))).read_bytes()
+                     for replicate in range(plan.replicates)}
+            assert len(texts) == 1
+            matrix = _read_matrix(tmp_path / ("heatmap_d%d_rep0_truth.csv" % dim))
+            assert np.array_equal(matrix, plan.drift(dim).entries)
 
-    def test_heatmaps_only_for_requested_dims(self):
-        report = run_experiment(_tiny_plan())
-        assert {record.dim for record in report.heatmaps} == {3}
-        names = {record.name for record in report.heatmaps}
-        assert names == {"truth", "mle", "lasso", "slope"}
-        # 2 replicates times 4 matrices.
-        assert len(report.heatmaps) == 8
+    def test_heatmaps_only_for_requested_dims(self, tmp_path):
+        names = _heatmap_names(export_figure_data(run_experiment(_tiny_plan()), tmp_path))
+        # 2 replicates times 4 matrices, each raw and display.
+        assert len(names) == 16
+        assert {name.split("_")[1] for name in names} == {"d3"}
+        assert {name.split("_")[3].removesuffix(".csv") for name in names} == {
+            "truth", "mle", "lasso", "slope"}
 
-    def test_metrics_recomputable_from_heatmaps(self):
+    def test_metrics_recomputable_from_heatmaps(self, tmp_path):
         report = run_experiment(_tiny_plan())
-        truth = {rec.replicate: rec.matrix for rec in report.heatmaps if rec.name == "truth"}
-        for record in report.heatmaps:
-            if record.name == "mle":
-                delta = record.matrix - truth[record.replicate]
-                expected = float(np.sum(delta * delta)) / record.dim
-                row = next(
-                    r
-                    for r in report.rows
-                    if r.dim == 3 and r.replicate == record.replicate and r.estimator == "mle"
-                )
-                assert row.scaled_l2sq == pytest.approx(expected, rel=1e-12)
+        export_figure_data(report, tmp_path)
+        for row in report.rows:
+            if (row.dim, row.estimator) == (3, "mle"):
+                fit, truth = (_read_matrix(tmp_path / ("heatmap_d3_rep%d_%s.csv" % (row.replicate, name)))
+                              for name in ("mle", "truth"))
+                delta = fit - truth
+                assert row.scaled_l2sq == pytest.approx(float(np.sum(delta * delta)) / 3, rel=1e-12)
 
     def test_ok_rows_carry_the_estimate_of_their_metrics(self):
         report = run_experiment(_tiny_plan())
         for row in report.rows:
-            drift = report.drifts[row.dim]
+            drift = report.plan.drift(row.dim)
             delta = row.estimate - drift.entries
             assert row.scaled_l2sq == float(np.sum(delta * delta)) / row.dim
             assert row.scaled_l1 == float(np.sum(np.abs(delta))) / row.dim
             assert row.support_f1 == support_f1(row.estimate, drift.support,
                                                 report.plan.support_threshold)
 
-    def test_each_heatmap_is_its_row_estimate(self):
+    def test_each_heatmap_is_its_row_estimate(self, tmp_path):
         report = run_experiment(_tiny_plan())
-        rows = {(row.dim, row.replicate, row.estimator): row for row in report.rows}
-        for record in report.heatmaps:
-            if record.name == "truth":
-                expected = report.drifts[record.dim].entries
-            else:
-                expected = rows[record.dim, record.replicate, record.name].estimate
-            assert np.array_equal(record.matrix, expected)
+        names = _heatmap_names(export_figure_data(report, tmp_path))
+        expected = []
+        for row in report.rows:
+            if row.dim == 3:
+                base = "heatmap_d3_rep%d_" % row.replicate
+                if row.estimator == "mle":
+                    expected.append((base + "truth", report.plan.drift(3).entries))
+                expected.append((base + row.estimator, row.estimate))
+        assert names == [name + suffix for name, _ in expected for suffix in (".csv", "_display.csv")]
+        for name, matrix in expected:
+            assert np.array_equal(_read_matrix(tmp_path / (name + ".csv")), matrix)
+            assert np.array_equal(_read_matrix(tmp_path / (name + "_display.csv")),
+                                  display_transform(matrix))
 
     def test_cell_fits_the_plan_sizes(self, monkeypatch):
         drawn = []
@@ -168,10 +187,9 @@ class TestRunExperiment:
 
         monkeypatch.setattr(experiments, "path_blocks", recording)
         plan = _tiny_plan(n_paths=50, n_train=36)
-        drift = plan.drift(3)
-        (row,) = run_cell(plan, drift, 0, 7, ("mle",))
+        (row,) = run_cell(plan, 3, 0, 7, ("mle",))
         assert drawn == [50]
-        train_stats, _ = holdout_stats(drift, plan, 50, 36, 7)
+        train_stats, _ = holdout_stats(plan.drift(3), plan, 50, 36, 7)
         assert np.array_equal(row.estimate, solve_mle(train_stats).estimate.entries)
 
     def test_threads_do_not_change_results(self):
@@ -184,8 +202,8 @@ class TestRunExperiment:
             assert a.scaled_l1 == b.scaled_l1
             assert a.support_f1 == b.support_f1
             assert repr(a.lambda_used) == repr(b.lambda_used)
-        for ha, hb in zip(serial.heatmaps, parallel.heatmaps):
-            assert np.array_equal(ha.matrix, hb.matrix)
+            assert a.estimate.tobytes() == b.estimate.tobytes()
+        assert len(serial.rows) == len(parallel.rows) == 12
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_rejected(self, threads):
@@ -220,7 +238,7 @@ class TestRunExperiment:
         assert np.isnan(row.scaled_l1)
         assert row.estimate is None
 
-    def test_failed_sweeps_keep_the_row_defaults(self, monkeypatch):
+    def test_failed_sweeps_keep_the_row_defaults(self, monkeypatch, tmp_path):
         def broken(*args, **kwargs):
             raise NumericalError("boom")
 
@@ -236,7 +254,20 @@ class TestRunExperiment:
             assert row.converged is True
             assert row.runtime_seconds >= 0.0
             assert row.estimate is None
-        assert [r.name for r in report.heatmaps] == ["truth", "mle"]
+        assert _heatmap_names(export_figure_data(report, tmp_path)) == [
+            "heatmap_d3_rep0_truth.csv", "heatmap_d3_rep0_truth_display.csv",
+            "heatmap_d3_rep0_mle.csv", "heatmap_d3_rep0_mle_display.csv"]
+
+    def test_a_cell_without_fits_still_exports_its_truth(self, monkeypatch, tmp_path):
+        def broken(*args, **kwargs):
+            raise NumericalError("boom")
+
+        monkeypatch.setattr(experiments, "solve_mle", broken)
+        monkeypatch.setattr(experiments, "cross_validate", broken)
+        report = run_experiment(_tiny_plan(replicates=1))
+        assert all(row.estimate is None for row in report.rows)
+        assert _heatmap_names(export_figure_data(report, tmp_path)) == [
+            "heatmap_d3_rep0_truth.csv", "heatmap_d3_rep0_truth_display.csv"]
 
 
 class TestExports:
@@ -416,7 +447,8 @@ class TestPlanParsing:
         def target(count: int, scale: float = 1.0):
             return count * scale
 
-        assert read_arguments(target, {"count": 3.0}, "t") == {"count": 3}
+        assert read_arguments(target, {"count": 3.0}, "t") == {"count": 3, "scale": 1.0}
+        assert list(read_arguments(target, {"scale": 2.0, "count": 3}, "t")) == ["count", "scale"]
         with pytest.raises(ValueError, match="unknown t fields: scael"):
             read_arguments(target, {"count": 3, "scael": 2.0}, "t")
         with pytest.raises(ValueError, match="missing t field 'count'"):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import sparse_ou
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sparse_ou"
 
 
@@ -62,3 +64,10 @@ def test_no_unused_module_level_import(module):
 @pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
 def test_no_exemption_on_a_read_import(module):
     assert stale_exemptions((PACKAGE / module).read_text()) == []
+
+
+def test_every_public_name_resolves():
+    # ``import *`` raises AttributeError on an ``__all__`` entry the package does not bind.
+    namespace = {}
+    exec("from sparse_ou import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(sparse_ou.__all__)

@@ -61,6 +61,18 @@ class TestGrid:
         with pytest.raises(ValueError):
             CvGrid(-2.0, -1.0, 0.0)
 
+    def test_at_most_a_thousand_levels(self, monkeypatch):
+        assert len(CvGrid(-249.75, 0.0, 0.25).values()) == 1000
+
+        def unreachable(grid):
+            raise AssertionError("values() called")
+
+        monkeypatch.setattr(CvGrid, "values", unreachable)
+        # 3,000,000,001 levels: about 24 GB if ``values()`` ran.
+        for bounds in ((-3.0, 0.0, 1e-9), (0.0, 1000.0, 1.0), (-1e308, 1e308, 1.0)):
+            with pytest.raises(ValueError, match="at most 1000 levels"):
+                CvGrid(*bounds)
+
 
 class TestSplit:
     def test_shapes_and_content(self):

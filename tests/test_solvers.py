@@ -27,6 +27,7 @@ from sparse_ou import (
     solve_slope,
     split_paths,
 )
+from sparse_ou.solvers import check_level
 
 
 def _identity_stats(dim, b_hat, n_paths=10):
@@ -245,6 +246,13 @@ class TestConfigAndResult:
             SolverConfig(max_iters=0)
         with pytest.raises(ValueError):
             SolverConfig(rel_tol=0.0)
+
+    def test_infinite_level_rejected(self):
+        stats = _identity_stats(2, np.zeros((2, 2)))
+        for call in (lambda: check_level(np.inf), lambda: solve_lasso(stats, np.inf),
+                     lambda: solve_slope(stats, np.inf)):
+            with pytest.raises(ValueError, match="lam must be nonnegative and finite"):
+                call()
 
     @pytest.mark.parametrize(
         "solve, dim, replicate, log10_lam",
