@@ -256,6 +256,9 @@ def cmd_theory(args):
     elif args.operation == "rate":
         write_json(result, args.out)
         seed = arguments["plan"].master_seed
+        # rate_sweep sizes each point itself and takes ``reps``: the plan's sizes go unused.
+        arguments["plan"] = {key: value for key, value in to_plain(arguments["plan"]).items()
+                             if key not in ("n_paths", "n_train", "replicates", "heatmap_dims")}
         print("fitted exponent %r (expected %r)" % (result.fitted_exponent, result.expected_exponent))
     else:
         write_json({"kl": result}, args.out)

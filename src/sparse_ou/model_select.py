@@ -20,7 +20,8 @@ PENALTIES = {"lasso": "l1", "slope": "sorted_l1"}
 
 @dataclasses.dataclass(frozen=True)
 class CvGrid:
-    """Logarithmic grid ``10**(log10_min + k * log10_step) <= 10**log10_max``, at most 1000 levels."""
+    """Logarithmic grid ``10**(log10_min + k * log10_step) <= 10**log10_max``, at most 1000
+    levels, with exponents in ``[-307, 308]`` so that every level is a normal float."""
 
     log10_min: float
     log10_max: float
@@ -35,6 +36,8 @@ class CvGrid:
             raise ValueError("log10_step must be positive")
         if not (self.log10_max - self.log10_min) / self.log10_step < 1000:
             raise ValueError("the grid must have at most 1000 levels")
+        if not (-307 <= self.log10_min and self.log10_max <= 308):
+            raise ValueError("grid exponents must lie in [-307, 308]")
 
     @classmethod
     def default(cls):

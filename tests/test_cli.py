@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from sparse_ou import (
-    DriftMatrix, InitialLaw, bundle_to_csv, cli, experiments, load_bundle, save_bundle,
-    simulate_exact,
+    DriftMatrix, InitialLaw, bundle_to_csv, cli, experiments, load_bundle, plan_from_dict,
+    save_bundle, simulate_exact,
 )
 from sparse_ou.cli import main
 from sparse_ou.experiments import DriftScheme, generate_drift
-from sparse_ou.files import read_bundle
+from sparse_ou.files import read_bundle, to_plain
 
 
 def _write_config(tmp_path, name, document):
@@ -249,8 +249,9 @@ class TestEstimate:
         (["--grid=a:b:c"], "--grid components must be numbers"),
         (["--grid=-3:inf:1"], "grid bounds and step must be finite"),
         (["--grid=-3:0:1e-9"], "the grid must have at most 1000 levels"),
+        (["--grid=0:400:1"], "grid exponents must lie in [-307, 308]"),
     ], ids=["negative_lambda", "nan_lambda", "infinite_lambda", "reversed_grid", "non_numeric_grid",
-            "infinite_grid", "oversized_grid"])
+            "infinite_grid", "oversized_grid", "overflowing_grid"])
     def test_invalid_selector_value(self, tmp_path, capsys, monkeypatch, selector, message):
         bundle = _make_bundle(tmp_path)
         opened = []
@@ -613,6 +614,15 @@ class TestTheory:
         document = json.loads((tmp_path / "rate.json").read_text())
         assert np.isfinite(document["fitted_exponent"])
         assert document["expected_exponent"] == -0.5
+        # The sweep sizes each point itself, so the manifest keeps none of the plan's sizes.
+        manifest = json.loads((tmp_path / "rate.json.manifest.json").read_text())
+        plan = to_plain(plan_from_dict(self.RATE["plan"]))
+        for unused in ("n_paths", "n_train", "replicates", "heatmap_dims"):
+            del plan[unused]
+        assert manifest["resolved_config"] == {
+            "axis": "N", "plan": plan, "points": [40, 80], "reps": 1, "p": 2, "penalty": "l1",
+        }
+        assert manifest["seed"] == plan["master_seed"]
 
     def test_rate_needs_two_distinct_sample_sizes(self, tmp_path, capsys):
         config = _write_config(tmp_path, "r.json", {**self.RATE, "points": [40, 40]})

@@ -73,6 +73,15 @@ class TestGrid:
             with pytest.raises(ValueError, match="at most 1000 levels"):
                 CvGrid(*bounds)
 
+    def test_every_level_is_a_normal_float(self):
+        # 10**400 overflows to inf and 10**-400 underflows to 0.0.
+        for bounds in ((0.0, 400.0, 1.0), (-400.0, -300.0, 10.0), (-307.5, -307.0, 0.5),
+                       (308.0, 308.5, 0.5)):
+            with pytest.raises(ValueError, match=r"grid exponents must lie in \[-307, 308\]"):
+                CvGrid(*bounds)
+        levels = CvGrid(-307.0, 308.0, 5.0).values()
+        assert levels[0] >= np.finfo(float).tiny and np.isfinite(levels[-1])
+
 
 class TestSplit:
     def test_shapes_and_content(self):

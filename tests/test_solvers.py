@@ -14,9 +14,13 @@ from sparse_ou import (
     SuffStats,
     WeightVector,
     compute_suffstats,
+    cross_validate,
     generate_drift,
     loss,
     mix_seed,
+    model_select,
+    prox_l1,
+    prox_sorted_l1,
     result_from_json,
     result_to_json,
     simulate_euler,
@@ -25,9 +29,32 @@ from sparse_ou import (
     solve_lasso,
     solve_mle,
     solve_slope,
+    solvers,
     split_paths,
 )
+from sparse_ou.experiments import holdout_stats
 from sparse_ou.solvers import check_level
+
+
+def _sweep_fits(monkeypatch, dim, penalty):
+    """Training statistics and every (level, fit) of the default plan's
+    warm-started hold-out sweep at ``dim``, replicate 0."""
+    plan = ExperimentPlan()
+    train, valid = holdout_stats(plan.drift(dim), plan, plan.n_paths, plan.n_train,
+                                 mix_seed(plan.master_seed, 2, dim, 0))
+    name = {"l1": "solve_lasso", "sorted_l1": "solve_slope"}[penalty]
+    solve = getattr(model_select, name)
+    fits = []
+
+    def recording(stats, lam, **options):
+        fits.append((lam, solve(stats, lam, **options)))
+        return fits[-1][1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(model_select, name, recording)
+        cross_validate(train, valid, plan.grid, penalty=penalty, config=plan.solver)
+    assert len(fits) == len(plan.grid.values())
+    return train, fits
 
 
 def _identity_stats(dim, b_hat, n_paths=10):
@@ -139,8 +166,6 @@ class TestLasso:
         result = solve_lasso(stats, 0.15, config=config)
         a = result.estimate.entries
         lip = loss(stats, a).lipschitz
-        from sparse_ou import prox_l1
-
         stepped = prox_l1(a - (a @ stats.c_hat - stats.b_hat) / lip, 0.15 / lip)
         gap = np.max(np.abs(stepped - a))
         assert gap <= 10 * config.rel_tol * (1.0 + np.max(np.abs(a)))
@@ -273,6 +298,41 @@ class TestConfigAndResult:
         result = solve(compute_suffstats(train), 10.0 ** log10_lam)
         assert result.converged
         assert result.iterations < 100
+
+    @pytest.mark.parametrize("dim", [5, 10, 15, 20, 25])
+    @pytest.mark.parametrize("penalty", ["l1", "sorted_l1"])
+    def test_converged_means_a_small_fixed_point_residual(self, monkeypatch, penalty, dim):
+        # The solver stops on the step it just took; a converged fit must
+        # still pass the residual test at the iterate it returns.
+        stats, fits = _sweep_fits(monkeypatch, dim, penalty)
+        lipschitz = stats.curvature_bound
+        rel_tol = SolverConfig().rel_tol
+        for lam, fit in fits:
+            a = fit.estimate.entries
+            stepped = a - (a @ stats.c_hat - stats.b_hat) / lipschitz
+            if penalty == "l1":
+                target = prox_l1(stepped, lam / lipschitz)
+            else:
+                target = prox_sorted_l1(stepped, slope_weights(dim * dim), lam / lipschitz)
+            assert fit.converged, lam
+            assert np.max(np.abs(a - target)) <= rel_tol * (1.0 + np.max(np.abs(a))), lam
+
+    @pytest.mark.parametrize("penalty", ["l1", "sorted_l1"])
+    def test_about_one_prox_per_iteration(self, monkeypatch, penalty):
+        calls = []
+
+        def counting(prox):
+            def counted(*args):
+                calls.append(prox.__name__)
+                return prox(*args)
+            return counted
+
+        monkeypatch.setattr(solvers, "prox_l1", counting(solvers.prox_l1))
+        monkeypatch.setattr(solvers, "prox_sorted_l1", counting(solvers.prox_sorted_l1))
+        _, fits = _sweep_fits(monkeypatch, 15, penalty)
+        iterations = sum(fit.iterations for _, fit in fits)
+        assert set(calls) == {"prox_" + penalty}
+        assert len(calls) <= 1.25 * iterations, (len(calls), iterations)
 
     def test_iteration_cap_reported(self):
         rng = np.random.default_rng(17)
