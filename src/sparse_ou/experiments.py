@@ -104,7 +104,7 @@ class ExperimentPlan:
         if self.replicates < 1:
             raise ValueError("replicates must be positive")
         check_split(self.n_paths, self.n_train)
-        if self.support_threshold <= 0:
+        if not self.support_threshold > 0:
             raise ValueError("support_threshold must be positive")
 
     def to_dict(self):

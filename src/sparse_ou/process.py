@@ -229,6 +229,8 @@ class PathBundle:
 
 def _grid_length(terminal, step):
     ratio = terminal / step
+    if not abs(ratio) < math.inf:
+        raise ValueError("terminal / step must be finite, got %r / %r" % (terminal, step))
     rounded = round(ratio)
     if rounded < 1 or abs(ratio - rounded) > 1e-9 * max(1.0, abs(ratio)):
         raise ValueError("terminal must be an integer multiple of step, got ratio %r" % (ratio,))

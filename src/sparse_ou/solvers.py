@@ -6,13 +6,15 @@ Three estimators share the quadratic loss ``0.5 tr(A c_hat A^T) - <A, b_hat>``:
 * ``solve_lasso``: adds ``lambda * ||A||_1`` (entrywise l1).
 * ``solve_slope``: adds ``lambda * sorted-l1`` with nonincreasing weights.
 
-The penalized problems run accelerated proximal gradient iterations with a
-fixed step ``1/L``, ``L`` the top eigenvalue of ``c_hat`` (the exact
-Lipschitz constant of the gradient), in a variant that is monotone up to
-rounding: whenever the accelerated candidate raises the objective the
-momentum is restarted and a plain proximal step from the current iterate is
-taken instead. A fit stops on the step it just took, the fixed-point residual
-at the point it was taken from, so the stopping test costs no extra prox.
+Both penalized problems run one loop that takes the penalty as data, the pair
+``(lambda, weights)``: sorted-l1 weights, or none for l1 (the flat-weight
+case). The loop runs accelerated proximal gradient iterations with a fixed
+step ``1/L``, ``L`` the top eigenvalue of ``c_hat`` (the exact Lipschitz
+constant of the gradient), in a variant that is monotone up to rounding:
+whenever the accelerated candidate raises the objective the momentum is
+restarted and a plain proximal step from the current iterate is taken instead.
+A fit stops on the step it just took, the fixed-point residual at the point it
+was taken from, so the stopping test costs no extra prox.
 """
 
 import dataclasses
@@ -90,10 +92,10 @@ def solve_mle(stats):
     )
 
 
-def _proximal_path(stats, penalty, prox, config, warm_start, lambda_used, penalty_kind):
-    # Monotone accelerated proximal gradient. `penalty(a)` evaluates the
-    # regularizer, `prox(v, curvature)` applies its proximal map with step
-    # 1 / curvature.
+def _proximal_path(stats, lam, weights, config, warm_start):
+    # Monotone accelerated proximal gradient on ``lam * ||A||_1`` (``weights``
+    # None) or ``lam * sorted_l1_norm(A, weights)``. The prox and the norm are
+    # looked up as module globals per call, so wrappers set there see each one.
     config = config or SolverConfig()
     lipschitz = stats.curvature_bound
     if lipschitz <= 0:
@@ -104,16 +106,24 @@ def _proximal_path(stats, penalty, prox, config, warm_start, lambda_used, penalt
         current = np.array(warm_start, dtype=float)
         if current.shape != (stats.dim, stats.dim):
             raise ValueError("warm start must have shape (%d, %d)" % (stats.dim, stats.dim))
+    # Dividing lam by the same curvature used for the gradient step keeps the
+    # threshold and the stepped point rounding-consistent, so
+    # lam == ||b_hat||_inf still maps a zero start to exactly zero.
+    threshold = lam / lipschitz
     momentum_point = current
     momentum = 1.0
 
     def evaluate(point):
         # Objective and loss gradient at ``point``, from one product.
         value, gradient = quadratic(stats, point)
-        return value + penalty(point), gradient
+        penalty = np.sum(np.abs(point)) if weights is None else sorted_l1_norm(point, weights)
+        return value + lam * float(penalty), gradient
 
     def prox_step(point, gradient):
-        return prox(point - gradient / lipschitz, lipschitz)
+        stepped = point - gradient / lipschitz
+        if weights is None:
+            return prox_l1(stepped, threshold)
+        return prox_sorted_l1(stepped, weights, threshold)
 
     objective, gradient = evaluate(current)
     history = [objective]
@@ -143,7 +153,7 @@ def _proximal_path(stats, penalty, prox, config, warm_start, lambda_used, penalt
             converged = True
             break
     return EstimatorResult(DriftMatrix(stats.dim, current), history, iterations, converged,
-                           lambda_used, penalty_kind)
+                           lam, "l1" if weights is None else "sorted_l1")
 
 
 def check_level(lam):
@@ -172,18 +182,7 @@ def solve_lasso(stats, lam, config=None, warm_start=None):
     -------
     EstimatorResult
     """
-    lam = check_level(lam)
-
-    def penalty(a):
-        return lam * float(np.sum(np.abs(a)))
-
-    def prox(v, curvature):
-        # Dividing lam by the same curvature used for the gradient step keeps
-        # the threshold and the stepped point rounding-consistent, so
-        # lam == ||b_hat||_inf still maps a zero start to exactly zero.
-        return prox_l1(v, lam / curvature)
-
-    return _proximal_path(stats, penalty, prox, config, warm_start, lam, "l1")
+    return _proximal_path(stats, check_level(lam), None, config, warm_start)
 
 
 def solve_slope(stats, lam, weights=None, config=None, warm_start=None):
@@ -211,11 +210,4 @@ def solve_slope(stats, lam, weights=None, config=None, warm_start=None):
         weights = WeightVector(np.asarray(weights, dtype=float))
     if len(weights) != stats.dim * stats.dim:
         raise ValueError("weights must have length dim * dim")
-
-    def penalty(a):
-        return lam * sorted_l1_norm(a, weights)
-
-    def prox(v, curvature):
-        return prox_sorted_l1(v, weights, lam / curvature)
-
-    return _proximal_path(stats, penalty, prox, config, warm_start, lam, "sorted_l1")
+    return _proximal_path(stats, lam, weights, config, warm_start)

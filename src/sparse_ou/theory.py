@@ -114,17 +114,21 @@ def compute_c_infty(drift: DriftMatrix, sigma: np.ndarray | None = None, termina
     TheoryQuantities
         ``NumericalError`` is raised instead when the moment overflows.
     """
-    if terminal <= 0:
-        raise ValueError("terminal must be positive")
+    if not 0 < terminal < math.inf:
+        raise ValueError("terminal must be positive and finite")
     a = drift.entries
     dim = drift.dim
     sigma = np.zeros((dim, dim)) if sigma is None else InitialLaw("gaussian", sigma).covariance
     if sigma.shape != (dim, dim):
         raise ValueError("sigma must have shape (%d, %d)" % (dim, dim))
     abscissa, condition = _spectral_summaries(a)
-    norm = terminal * float(np.linalg.norm(a, 1))
-    doublings = math.ceil(math.log2(norm)) if norm > 1.0 else 0
-    h = terminal / 2.0 ** doublings
+    a_norm = float(np.linalg.norm(a, 1))
+    norm = terminal * a_norm
+    # Past the float range log2 of the product is the sum of the logs, and
+    # ldexp halves without forming 2 ** doublings, which overflows past 1023.
+    doublings = 0 if not norm > 1.0 else math.ceil(
+        math.log2(norm) if norm < math.inf else math.log2(terminal) + math.log2(a_norm))
+    h = math.ldexp(terminal, -doublings)
     eye = np.eye(dim)
     zero = np.zeros((dim, dim))
     blocks = matrix_exponential(h * np.block([
@@ -389,8 +393,8 @@ def kl_between(a1: DriftMatrix, a2: DriftMatrix, n_paths: int, terminal: float =
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
-    if terminal <= 0:
-        raise ValueError("terminal must be positive")
+    if not 0 < terminal < math.inf:
+        raise ValueError("terminal must be positive and finite")
     first = np.asarray(a1.entries if hasattr(a1, "entries") else a1, dtype=float)
     second = np.asarray(a2.entries if hasattr(a2, "entries") else a2, dtype=float)
     if first.shape != second.shape or first.ndim != 2 or first.shape[0] != first.shape[1]:

@@ -711,6 +711,50 @@ class TestTheory:
         assert "numerical failure" in capsys.readouterr().err
 
 
+class TestNonFiniteInputs:
+    """A horizon past the float range, a non-finite horizon or a NaN threshold
+    ends in an exit code and an ``error:`` line, never in a traceback."""
+
+    PLAN = {**TestReproduce.PLAN, "dims": [3], "heatmap_dims": [3]}
+    HUGE = {"terminal": 1e308, "step": 1e-10}
+
+    @staticmethod
+    def _bundle_with_header(tmp_path, **fields):
+        # A valid bundle whose header line is rewritten to hold ``fields``.
+        path = Path(_make_bundle(tmp_path))
+        line, paths = path.read_bytes().split(b"\n", 1)
+        header = {**json.loads(line), **fields}
+        path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + paths)
+        return str(path)
+
+    @pytest.mark.parametrize("command, document, code", [
+        ("simulate", _simulate_config(**HUGE), 2),
+        ("simulate", _simulate_config(terminal=float("inf")), 2),
+        ("reproduce", {**PLAN, **HUGE}, 2),
+        ("reproduce", {**PLAN, "support_threshold": float("nan")}, 2),
+        ("concentration", {"drift": [[-1.0]], "n_list": [20], "reps": 1, "seed": 5, **HUGE}, 2),
+        ("cinfty", {"drift": [[-1.0]], "terminal": float("inf")}, 2),
+        ("cinfty", {"drift": [[1.0]], "terminal": 1e308}, 4),
+        ("kl", {"a1": [[-1.0]], "a2": [[-1.0]], "n_paths": 10, "terminal": float("nan")}, 2),
+        ("estimate", HUGE, 3),
+    ], ids=["simulate_huge", "simulate_inf", "reproduce_huge", "reproduce_nan_threshold",
+            "concentration_huge", "cinfty_inf", "cinfty_huge", "kl_nan", "estimate_huge_header"])
+    def test_exit_code_and_error_line(self, tmp_path, capsys, command, document, code):
+        out = str(tmp_path / "out")
+        if command == "estimate":
+            bundle = self._bundle_with_header(tmp_path, **document)
+            argv = ["estimate", "--bundle", bundle, "--method", "mle", "--out", out]
+        else:
+            config = _write_config(tmp_path, "config.json", document)
+            argv = {
+                "simulate": ["simulate", "--config", config, "--out", out],
+                "reproduce": ["reproduce", "--plan", config, "--out-dir", out, "--threads", "1"],
+            }.get(command, ["theory", command, "--config", config, "--out", out])
+        capsys.readouterr()
+        assert main(argv) == code
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestEntryPoint:
     def test_version_via_subprocess(self):
         import sparse_ou

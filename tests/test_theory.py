@@ -113,6 +113,19 @@ class TestCInfty:
         with pytest.raises(NumericalError):
             compute_c_infty(DriftMatrix(1, np.array([[400.0]])), terminal=2.0)
 
+    @pytest.mark.parametrize("a", [-1.0, -2.0])
+    def test_horizon_near_the_float_range(self, a):
+        # T ||A||_1 reaches or passes the float range: 1024 or more doublings.
+        value = compute_c_infty(DriftMatrix(1, np.array([[a]])), terminal=1e308)
+        assert value.c_infty[0, 0] == pytest.approx(1e308 / (2.0 * -a), rel=1e-12)
+        with pytest.raises(NumericalError):
+            compute_c_infty(DriftMatrix(1, np.array([[-a]])), terminal=1e308)
+
+    @pytest.mark.parametrize("terminal", [math.inf, math.nan, 0.0])
+    def test_horizon_must_be_positive_and_finite(self, terminal):
+        with pytest.raises(ValueError, match="terminal must be positive and finite"):
+            compute_c_infty(DriftMatrix(1, np.array([[-1.0]])), terminal=terminal)
+
     def test_spectral_summaries(self):
         rng = np.random.default_rng(1)
         entries = stable_random_drift(rng, 4)
@@ -355,8 +368,9 @@ class TestKl:
         a1, a2 = self._pair()
         with pytest.raises(ValueError):
             kl_between(a1, a2, 0)
-        with pytest.raises(ValueError):
-            kl_between(a1, a2, 10, terminal=-1.0)
+        for terminal in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                kl_between(a1, a2, 10, terminal=terminal)
 
     def test_monte_carlo_cross_check(self):
         # Small-scale Girsanov check; the acceptance suite runs the full one.
