@@ -27,7 +27,7 @@ import numpy as np
 
 from .files import from_plain, read_value, to_plain, write_csv
 from .model_select import PENALTIES, CvGrid, cross_validate
-from .process import DriftMatrix, InitialLaw, mix_seed, path_blocks, path_stream
+from .process import DriftMatrix, InitialLaw, _grid_length, mix_seed, path_blocks, path_stream
 from .solvers import SolverConfig, solve_mle
 from .suffstats import block_stats, check_split
 
@@ -104,6 +104,7 @@ class ExperimentPlan:
         if self.replicates < 1:
             raise ValueError("replicates must be positive")
         check_split(self.n_paths, self.n_train)
+        _grid_length(self.terminal, self.step)
         if not self.support_threshold > 0:
             raise ValueError("support_threshold must be positive")
 

@@ -14,7 +14,9 @@ constant of the gradient), in a variant that is monotone up to rounding:
 whenever the accelerated candidate raises the objective the momentum is
 restarted and a plain proximal step from the current iterate is taken instead.
 A fit stops on the step it just took, the fixed-point residual at the point it
-was taken from, so the stopping test costs no extra prox.
+was taken from, so the stopping test costs no extra prox. The loop reads each
+candidate's penalty from the magnitudes its prox hands back, so a fit
+evaluates the norm once, at its start.
 """
 
 import dataclasses
@@ -96,6 +98,8 @@ def _proximal_path(stats, lam, weights, config, warm_start):
     # Monotone accelerated proximal gradient on ``lam * ||A||_1`` (``weights``
     # None) or ``lam * sorted_l1_norm(A, weights)``. The prox and the norm are
     # looked up as module globals per call, so wrappers set there see each one.
+    # A candidate's penalty is the norm's own expression on the prox's sorted
+    # magnitudes, so it has the norm's bits.
     config = config or SolverConfig()
     lipschitz = stats.curvature_bound
     if lipschitz <= 0:
@@ -112,26 +116,29 @@ def _proximal_path(stats, lam, weights, config, warm_start):
     threshold = lam / lipschitz
     momentum_point = current
     momentum = 1.0
-
-    def evaluate(point):
-        # Objective and loss gradient at ``point``, from one product.
-        value, gradient = quadratic(stats, point)
-        penalty = np.sum(np.abs(point)) if weights is None else sorted_l1_norm(point, weights)
-        return value + lam * float(penalty), gradient
+    magnitudes = np.empty(current.shape if weights is None else current.size)
 
     def prox_step(point, gradient):
+        # The candidate, its objective and its loss gradient, from one product.
         stepped = point - gradient / lipschitz
         if weights is None:
-            return prox_l1(stepped, threshold)
-        return prox_sorted_l1(stepped, weights, threshold)
+            candidate = prox_l1(stepped, threshold, magnitudes)
+            penalty = np.sum(magnitudes)
+        else:
+            candidate = prox_sorted_l1(stepped, weights, threshold, magnitudes)
+            penalty = magnitudes[::-1] @ weights.weights
+        value, candidate_gradient = quadratic(stats, candidate)
+        return candidate, value + lam * float(penalty), candidate_gradient
 
-    objective, gradient = evaluate(current)
+    value, gradient = quadratic(stats, current)
+    penalty = np.sum(np.abs(current)) if weights is None else sorted_l1_norm(current, weights)
+    objective = value + lam * float(penalty)
     history = [objective]
     converged = False
     for iterations in range(1, config.max_iters + 1):
         base = momentum_point
-        candidate = prox_step(base, quadratic(stats, base, value=False)[1])
-        candidate_value, candidate_gradient = evaluate(candidate)
+        candidate, candidate_value, candidate_gradient = prox_step(
+            base, quadratic(stats, base, value=False)[1])
         if candidate_value > objective:
             # Momentum overshoot: restart and take a plain step from the
             # current iterate. With the exact 1/L step it cannot raise the
@@ -140,8 +147,7 @@ def _proximal_path(stats, lam, weights, config, warm_start):
             # at the rounding floor.
             momentum = 1.0
             base = current
-            candidate = prox_step(base, gradient)
-            candidate_value, candidate_gradient = evaluate(candidate)
+            candidate, candidate_value, candidate_gradient = prox_step(base, gradient)
         momentum_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
         momentum_point = candidate + ((momentum - 1.0) / momentum_next) * (candidate - current)
         stalled = objective - candidate_value <= config.rel_tol * max(abs(objective), 1e-300)

@@ -77,3 +77,20 @@ def test_traced_pass_reports_every_declared_layer_metric(tmp_path, workload):
     assert sorted(declared - set(metrics)) == []
     # ``perfbench/run.py`` prints its result as strict JSON.
     json.dumps({key: value for key, (value, unit) in metrics.items()}, allow_nan=False)
+
+
+def test_traced_reproduce_counts_every_prox_and_one_norm_per_slope_fit(tmp_path):
+    # The solver must reach each prox and the norm through the names the
+    # tracer patches; a private helper that bypassed them would read 0 calls.
+    tracing = _tracing()
+    name, fn, arguments = _reproduce(tmp_path)
+    tracer = tracing.Tracer()
+    with tracing.patched(tracer) as missing, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert tracer.call(name, fn, *arguments) == 0
+    metrics = tracing.layer_metrics(tracer.spans, 1.0, missing)
+    slope_fits = sum(span[0] == "solvers.slope" for span in tracer.spans)
+    assert metrics["prox.sorted_l1_calls"][0] > 0
+    assert metrics["prox.l1_calls"][0] > 0
+    assert 0 < slope_fits
+    assert metrics["prox.sorted_l1_norm_calls"][0] <= slope_fits

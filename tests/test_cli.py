@@ -498,6 +498,16 @@ class TestReproduce:
         assert rc == 2
         assert "invalid plan: missing grid fields" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("horizon", [{"terminal": 1e308, "step": 1e-10}, {"step": 0.3}],
+                             ids=["ratio_overflows", "step_off_the_horizon"])
+    def test_plan_without_a_time_grid_leaves_no_out_dir(self, tmp_path, capsys, horizon):
+        plan = _write_config(tmp_path, "plan.json", {**self.PLAN, **horizon})
+        out_dir = tmp_path / "s"
+        rc = main(["reproduce", "--plan", plan, "--out-dir", str(out_dir), "--threads", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: invalid plan: ")
+        assert not out_dir.exists()
+
     def test_unwritable_out_dir(self, tmp_path):
         blocker = tmp_path / "occupied"
         blocker.write_text("a file, not a directory")

@@ -284,3 +284,72 @@ class TestProxSortedL1LargeP:
         finite = prox_sorted_l1(np.array([1.0, -0.3, 0.02]), WeightVector(weights.weights[:3]), 0.1)
         np.testing.assert_allclose(got[[1, 2, 4]], finite, rtol=1e-15)
         np.testing.assert_allclose(finite, [0.9, -0.22, 0.0], rtol=1e-15)
+
+
+def _edge_case(edge, p, rng):
+    """A ``(vector, weights, scale)`` prox input with entries on the filter's edge."""
+    weights = slope_weights(p)
+    scale = 0.4
+    cut = scale * weights.weights[-1]
+    v = rng.normal(size=p)
+    if edge == "at_cut":
+        v[: p // 4] = cut
+        v[p // 4: p // 2] = -cut
+    elif edge == "all_at_cut":
+        v = rng.choice([-cut, cut], size=p)
+    elif edge == "zeros":
+        v[: p // 3] = 0.0
+        v[p // 3: p // 2] = -0.0
+    elif edge == "scale_zero":
+        v[: p // 4] = -0.0
+        scale = 0.0
+    elif edge == "scale_inf":
+        v[: p // 4] = -0.0
+        scale = np.inf
+    return v, weights, scale
+
+
+class TestProxMagnitudes:
+    """Each prox hands back its output's magnitudes, and the solver takes the
+    penalty from them: that must be the penalty of the output, bit for bit."""
+
+    @staticmethod
+    def check(v, weights, scale):
+        magnitudes = np.full(v.size, np.nan)
+        out = prox_sorted_l1(v, weights, scale, magnitudes)
+        assert np.array_equal(out, prox_sorted_l1(v, weights, scale))
+        assert np.array_equal(magnitudes, np.sort(np.abs(out), axis=None))
+        penalty = float(magnitudes[::-1] @ weights.weights)
+        assert penalty.hex() == sorted_l1_norm(out, weights).hex()
+
+        threshold = scale * weights.weights[-1]
+        magnitudes = np.full(v.shape, np.nan)
+        out = prox_l1(v, threshold, magnitudes)
+        assert np.array_equal(out, prox_l1(v, threshold))
+        assert np.array_equal(magnitudes, np.abs(out))
+        assert float(np.sum(magnitudes)).hex() == float(np.sum(np.abs(out))).hex()
+
+    @pytest.mark.parametrize("p", [25, 225, 625, 2500])
+    @pytest.mark.parametrize("kind", ["random", "slope", "below", "ties", "cascade"])
+    def test_large_p_cases(self, kind, p):
+        self.check(*_large_p_case(kind, p, np.random.default_rng(p)))
+
+    @pytest.mark.parametrize("p", [25, 625])
+    @pytest.mark.parametrize("edge", ["at_cut", "all_at_cut", "zeros", "scale_zero", "scale_inf"])
+    def test_edge_cases(self, edge, p):
+        self.check(*_edge_case(edge, p, np.random.default_rng(p)))
+
+    def test_entries_at_the_cut_match_the_oracle(self):
+        v, weights, scale = _edge_case("at_cut", 25, np.random.default_rng(3))
+        got = prox_sorted_l1(v, weights, scale)
+        want = minmax_prox_sorted_l1(v, weights.weights, scale)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * 25 * np.abs(v).max())
+
+    def test_matrix_input(self):
+        v, weights, scale = _large_p_case("slope", 225, np.random.default_rng(12))
+        self.check(v.reshape(15, 15), weights, scale)
+
+    def test_nan_scale_rejected(self):
+        # The filter would drop every entry and return zeros in silence.
+        with pytest.raises(ValueError, match="scale must be nonnegative"):
+            prox_sorted_l1(np.array([1.0, 2.0]), slope_weights(2), np.nan)

@@ -32,10 +32,12 @@ from sparse_ou import (
     solve_mle,
     solve_slope,
     solvers,
+    sorted_l1_norm,
     split_paths,
 )
 from sparse_ou.experiments import holdout_stats
 from sparse_ou.solvers import check_level
+from sparse_ou.suffstats import quadratic
 
 
 def _sweep_fits(monkeypatch, dim, penalty):
@@ -338,8 +340,27 @@ class TestConfigAndResult:
         proxes = [name for name in calls if name.startswith("prox_")]
         assert set(proxes) == {"prox_" + penalty}
         assert len(proxes) <= 1.25 * iterations, (len(proxes), iterations)
+        # Each prox hands back its penalty, so a SLOPE fit evaluates the norm
+        # once, at its start, and a lasso fit never.
         norms = calls.count("sorted_l1_norm")
-        assert norms >= iterations if penalty == "sorted_l1" else norms == 0, (norms, iterations)
+        assert norms == (len(fits) if penalty == "sorted_l1" else 0), (norms, len(fits))
+
+    @pytest.mark.parametrize("dim", [15, 50])
+    def test_last_objective_is_the_objective_of_the_estimate(self, dim):
+        # The loop takes each penalty from its prox; it must be the penalty of
+        # the public definitions, bit for bit.
+        plan = ExperimentPlan()
+        train, _ = holdout_stats(plan.drift(dim), plan, plan.n_paths, plan.n_train,
+                                 mix_seed(plan.master_seed, 2, dim, 0))
+        weights = slope_weights(dim * dim)
+        for solve, penalty in ((solve_lasso, lambda a: np.sum(np.abs(a))),
+                               (solve_slope, lambda a: sorted_l1_norm(a, weights))):
+            for lam in (1e-3, 1e-2, 1e-1):
+                fit = solve(train, lam)
+                estimate = fit.estimate.entries
+                objective = quadratic(train, estimate)[0] + lam * float(penalty(estimate))
+                assert fit.objective_history[-1] == objective, (solve.__name__, lam)
+                assert np.count_nonzero(estimate) > 0
 
     @pytest.mark.parametrize("solve", [solve_lasso, solve_slope], ids=["lasso", "slope"])
     def test_objective_test_stops_a_small_scale_fit_near_its_optimum(self, solve):
