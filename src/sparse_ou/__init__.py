@@ -39,17 +39,7 @@ from .solvers import (
     solve_slope,
 )
 from .model_select import CvGrid, CvReport, cross_validate, split_paths
-from .files import (
-    bundle_to_csv,
-    load_bundle,
-    report_to_csv,
-    report_to_json,
-    result_from_json,
-    result_to_json,
-    save_bundle,
-    stats_from_json,
-    stats_to_json,
-)
+from .files import bundle_to_csv, load_bundle, report_to_csv, save_bundle
 from .experiments import (
     DriftScheme,
     ExperimentPlan,
@@ -97,8 +87,6 @@ __all__ = [
     "compute_suffstats",
     "loss",
     "martingale_term",
-    "stats_from_json",
-    "stats_to_json",
     "WeightVector",
     "prox_l1",
     "prox_sorted_l1",
@@ -106,8 +94,6 @@ __all__ = [
     "sorted_l1_norm",
     "EstimatorResult",
     "SolverConfig",
-    "result_from_json",
-    "result_to_json",
     "solve_lasso",
     "solve_mle",
     "solve_slope",
@@ -115,7 +101,6 @@ __all__ = [
     "CvReport",
     "cross_validate",
     "report_to_csv",
-    "report_to_json",
     "split_paths",
     "DriftScheme",
     "ExperimentPlan",

@@ -3,13 +3,15 @@
 ``to_plain`` writes a dataclass field by field and ``read_arguments`` reads
 a JSON object by the annotated signature of a function or dataclass, so a
 dataclass's fields are its file's schema. ``write_json`` writes every JSON
-file (sorted keys, ASCII, trailing newline). Every reader raises ``OSError``
-on invalid JSON, an unknown or missing key, a value of the wrong type (no
-coercion), or an unexpected ``format``, ``version``, ``dtype`` or ``order``.
-The formats: path bundles (a JSON header line, then raw float64 values, in
-blocks by ``write_bundle`` and ``read_bundle``, and as CSV by
-``write_bundle_csv``), ``SuffStats`` statistics, ``EstimatorResult`` results
-and ``CvReport`` hold-out reports.
+file (sorted keys, ASCII, trailing newline) and ``write_csv`` every CSV
+file. The formats: path bundles (a JSON header line, then raw float64
+values, in blocks by ``write_bundle`` and ``read_bundle``) and their CSV
+export (``write_bundle_csv``); the ``estimate`` JSON, an
+``EstimatorResult`` and a ``CvReport``, with the report's scores as CSV
+(``report_to_csv``); and the JSON and CSV exports of the study and the
+theory checks. The bundle reader raises ``OSError`` on invalid JSON, an
+unknown or missing key, a value of the wrong type (no coercion), or an
+unexpected ``format``, ``version``, ``dtype`` or ``order``.
 """
 
 import contextlib
@@ -23,11 +25,8 @@ import typing
 import numpy as np
 
 from .process import DriftMatrix, PathBundle, block_rows, collect_bundle
-from .solvers import EstimatorResult
-from .suffstats import SuffStats
 
 _BUNDLE_HEADER = {"format": "sparse-ou-paths", "version": 1, "dtype": "<f8", "order": "path-major"}
-_STATS_HEADER = {"format": "sparse-ou-suffstats", "version": 1}
 # Longest bundle header line read; a written header is under 200 bytes.
 _HEADER_LIMIT = 1 << 16
 
@@ -86,12 +85,11 @@ def read_value(kind, value, key):
     """Read the JSON value named ``key`` as ``kind``.
 
     ``X | None`` also takes null. A dataclass is read through
-    ``from_plain``, a tuple from a JSON array, a list from an array of
-    numbers, an array from nested lists of numbers, a
-    ``DriftMatrix`` from a square nested list, an int from an integral
-    number (``10.0`` is accepted), a float from any number, and a bool or a
-    str only from a JSON boolean or string; booleans and strings are
-    rejected where a number is expected. Other values pass through.
+    ``from_plain``, a tuple from a JSON array, an array from nested lists
+    of numbers, a ``DriftMatrix`` from a square nested list, an int from an
+    integral number (``10.0`` is accepted), a float from any number, and a
+    bool or a str only from a JSON boolean or string; booleans and strings
+    are rejected where a number is expected. Other values pass through.
     """
     if typing.get_args(kind):  # ``X | None``
         if value is None:
@@ -111,10 +109,10 @@ def read_value(kind, value, key):
         return DriftMatrix(entries.shape[0], entries)
     if dataclasses.is_dataclass(kind):
         return from_plain(kind, value, key)
-    if kind in (tuple, list):
+    if kind is tuple:
         if not isinstance(value, list):
             raise ValueError("%s must be a JSON array, got %r" % (key, value))
-        return tuple(value) if kind is tuple else [read_value(float, item, key) for item in value]
+        return tuple(value)
     if kind in (bool, str):
         if not isinstance(value, kind):
             raise ValueError("%s must be a JSON %s, got %r"
@@ -150,22 +148,6 @@ def write_csv(path, header, rows):
                                   for value in row) + "\n")
 
 
-def _decode(path, text, header, build):
-    # ``build(document)`` of the JSON object ``text`` once the keys of
-    # ``header`` are checked and removed; every error becomes ``OSError``.
-    try:
-        document = json.loads(text)
-        if not isinstance(document, dict):
-            raise ValueError("expected a JSON object")
-        for key, expected in header.items():
-            found = document.pop(key, None)
-            if (type(found), found) != (type(expected), expected):
-                raise ValueError("%s must be %r, got %r" % (key, expected, found))
-        return build(document)
-    except (TypeError, ValueError) as exc:  # decode errors are ValueErrors
-        raise OSError("cannot read %s: %s" % (path, exc)) from None
-
-
 def write_bundle(path, header, blocks):
     """Write ``header``, the ``PathBundle`` fields but ``values``, as a JSON line, then the
     paths of ``blocks`` in path order as raw little-endian float64; on failure, no file."""
@@ -188,11 +170,23 @@ def save_bundle(bundle, path):
     write_bundle(path, header, [(0, bundle.values)])
 
 
-def _read_header(document):
-    # ``values`` is no header key: a JSON value there fails ``np.frombuffer``.
-    header = read_arguments(PathBundle, {"values": b"", **document}, "bundle", values=np.frombuffer)
-    shape = header["n_paths"], header["grid_len"], header["dim"]
-    PathBundle(**{**header, "values": np.broadcast_to(0.0, shape)})
+def _read_header(path, line):
+    # The header fields of the JSON line ``line`` and the shape of the paths;
+    # every error becomes ``OSError``. ``values`` is no header key: a JSON
+    # value there fails ``np.frombuffer``.
+    try:
+        document = json.loads(line)
+        if not isinstance(document, dict):
+            raise ValueError("expected a JSON object")
+        for key, expected in _BUNDLE_HEADER.items():
+            found = document.pop(key, None)
+            if (type(found), found) != (type(expected), expected):
+                raise ValueError("%s must be %r, got %r" % (key, expected, found))
+        header = read_arguments(PathBundle, {"values": b"", **document}, "bundle", values=np.frombuffer)
+        shape = header["n_paths"], header["grid_len"], header["dim"]
+        PathBundle(**{**header, "values": np.broadcast_to(0.0, shape)})
+    except (TypeError, ValueError) as exc:  # decode errors are ValueErrors
+        raise OSError("cannot read %s: %s" % (path, exc)) from None
     del header["values"]
     return header, shape
 
@@ -209,7 +203,7 @@ def read_bundle(path):
         line = handle.readline(_HEADER_LIMIT)
         if not line.endswith(b"\n"):
             raise OSError("cannot read %s: no header line in its first %d bytes" % (path, _HEADER_LIMIT))
-        header, (n_paths, grid_len, dim) = _decode(path, line, _BUNDLE_HEADER, _read_header)
+        header, (n_paths, grid_len, dim) = _read_header(path, line)
         size, expected = os.fstat(handle.fileno()).st_size - handle.tell(), 8 * n_paths * grid_len * dim
         if size != expected:
             raise OSError("cannot read %s: %d bytes of paths, expected %d" % (path, size, expected))
@@ -245,36 +239,6 @@ def write_bundle_csv(path, header, blocks):
 def bundle_to_csv(bundle, path):
     """Export a ``PathBundle`` with ``write_bundle_csv``, as one block."""
     write_bundle_csv(path, vars(bundle), [(0, bundle.values)])
-
-
-def stats_to_json(stats, path):
-    """Write statistics as JSON with round-trip exact float encoding."""
-    write_json({**_STATS_HEADER, **to_plain(stats)}, path)
-
-
-def stats_from_json(path):
-    """Read statistics written by ``stats_to_json``."""
-    with open(path, "rb") as handle:
-        return _decode(path, handle.read(), _STATS_HEADER,
-                       lambda document: from_plain(SuffStats, document, "statistics"))
-
-
-# A result and a hold-out report are written field by field.
-result_to_json = report_to_json = write_json
-
-
-def _read_result(document):
-    # Older files also hold ``dim``, the number of rows of ``estimate``.
-    dim = document.pop("dim", None)
-    if dim is not None and read_value(int, dim, "dim") != len(document.get("estimate", [])):
-        raise ValueError("dim does not match the estimate")
-    return from_plain(EstimatorResult, document, "result")
-
-
-def result_from_json(path):
-    """Read a result written by ``result_to_json``."""
-    with open(path, "rb") as handle:
-        return _decode(path, handle.read(), {}, _read_result)
 
 
 def report_to_csv(report, path):

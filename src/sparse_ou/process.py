@@ -267,7 +267,8 @@ def matrix_exponential(matrix):
     Parameters
     ----------
     matrix : ndarray, shape (d, d)
-        Square matrix with finite entries.
+        Square matrix with finite entries; ``NumericalError`` if its 1-norm
+        overflows.
 
     Returns
     -------
@@ -278,7 +279,10 @@ def matrix_exponential(matrix):
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix must be finite")
-    norm = np.abs(m).sum(axis=0).max(initial=0.0)
+    with np.errstate(over="ignore"):
+        norm = np.abs(m).sum(axis=0).max(initial=0.0)
+    if not norm < math.inf:
+        raise NumericalError("the matrix's 1-norm overflows")
     squarings = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
     x = m * 2.0 ** -squarings
     b = _PADE13

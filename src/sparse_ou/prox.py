@@ -58,7 +58,7 @@ def sorted_l1_norm(v, weights):
 def prox_l1(v, threshold, magnitudes=None):
     """Entrywise soft threshold ``sign(v) * max(|v| - threshold, 0)``; the
     ``max(...)`` goes into ``magnitudes``, a float array shaped like ``v``, if given."""
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError("threshold must be nonnegative")
     values = np.asarray(v, dtype=float)
     return np.sign(values) * np.maximum(np.abs(values) - threshold, 0.0, out=magnitudes)

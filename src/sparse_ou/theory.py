@@ -112,7 +112,8 @@ def compute_c_infty(drift: DriftMatrix, sigma: np.ndarray | None = None, termina
     Returns
     -------
     TheoryQuantities
-        ``NumericalError`` is raised instead when the moment overflows.
+        ``NumericalError`` is raised instead when the drift's 1-norm or the
+        moment overflows.
     """
     if not 0 < terminal < math.inf:
         raise ValueError("terminal must be positive and finite")
@@ -121,8 +122,11 @@ def compute_c_infty(drift: DriftMatrix, sigma: np.ndarray | None = None, termina
     sigma = np.zeros((dim, dim)) if sigma is None else InitialLaw("gaussian", sigma).covariance
     if sigma.shape != (dim, dim):
         raise ValueError("sigma must have shape (%d, %d)" % (dim, dim))
+    with np.errstate(over="ignore"):
+        a_norm = float(np.linalg.norm(a, 1))
+    if not a_norm < math.inf:
+        raise NumericalError("the drift's 1-norm overflows")
     abscissa, condition = _spectral_summaries(a)
-    a_norm = float(np.linalg.norm(a, 1))
     norm = terminal * a_norm
     # Past the float range log2 of the product is the sum of the logs, and
     # ldexp halves without forming 2 ** doublings, which overflows past 1023.

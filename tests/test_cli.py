@@ -722,11 +722,13 @@ class TestTheory:
 
 
 class TestNonFiniteInputs:
-    """A horizon past the float range, a non-finite horizon or a NaN threshold
-    ends in an exit code and an ``error:`` line, never in a traceback."""
+    """A horizon past the float range, a non-finite horizon, a NaN threshold
+    or a drift whose 1-norm overflows ends in an exit code and an ``error:``
+    line, never in a traceback."""
 
     PLAN = {**TestReproduce.PLAN, "dims": [3], "heatmap_dims": [3]}
     HUGE = {"terminal": 1e308, "step": 1e-10}
+    NORM_OVERFLOWS = [[1e308, 0.0], [1e308, 0.0]]
 
     @staticmethod
     def _bundle_with_header(tmp_path, **fields):
@@ -740,15 +742,18 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("command, document, code", [
         ("simulate", _simulate_config(**HUGE), 2),
         ("simulate", _simulate_config(terminal=float("inf")), 2),
+        ("simulate", _simulate_config(drift={"matrix": NORM_OVERFLOWS}, method="exact", step=1.0), 4),
         ("reproduce", {**PLAN, **HUGE}, 2),
         ("reproduce", {**PLAN, "support_threshold": float("nan")}, 2),
         ("concentration", {"drift": [[-1.0]], "n_list": [20], "reps": 1, "seed": 5, **HUGE}, 2),
         ("cinfty", {"drift": [[-1.0]], "terminal": float("inf")}, 2),
         ("cinfty", {"drift": [[1.0]], "terminal": 1e308}, 4),
+        ("cinfty", {"drift": NORM_OVERFLOWS}, 4),
         ("kl", {"a1": [[-1.0]], "a2": [[-1.0]], "n_paths": 10, "terminal": float("nan")}, 2),
         ("estimate", HUGE, 3),
-    ], ids=["simulate_huge", "simulate_inf", "reproduce_huge", "reproduce_nan_threshold",
-            "concentration_huge", "cinfty_inf", "cinfty_huge", "kl_nan", "estimate_huge_header"])
+    ], ids=["simulate_huge", "simulate_inf", "simulate_norm_overflow", "reproduce_huge",
+            "reproduce_nan_threshold", "concentration_huge", "cinfty_inf", "cinfty_huge",
+            "cinfty_norm_overflow", "kl_nan", "estimate_huge_header"])
     def test_exit_code_and_error_line(self, tmp_path, capsys, command, document, code):
         out = str(tmp_path / "out")
         if command == "estimate":
@@ -762,7 +767,7 @@ class TestNonFiniteInputs:
             }.get(command, ["theory", command, "--config", config, "--out", out])
         capsys.readouterr()
         assert main(argv) == code
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith("error: numerical failure: " if code == 4 else "error: ")
 
 
 class TestEntryPoint:

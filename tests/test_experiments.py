@@ -413,6 +413,7 @@ class TestPlanParsing:
             ({"master_seed": True}, "master_seed must be a number"),
             ({"terminal": "1.0"}, "terminal must be a number"),
             ({"step": False}, "step must be a number"),
+            ({"initial_law": {"kind": 5}}, "kind must be a JSON string"),
             ({"support_threshold": float("nan")}, "support_threshold must be positive"),
             ({"solver": {"max_iters": "5000"}}, "max_iters must be a number"),
             ({"grid": {"log10_min": -3, "log10_max": 0, "log10_step": None}},

@@ -15,12 +15,12 @@ from sparse_ou import (
     cross_validate,
     loss,
     report_to_csv,
-    report_to_json,
     simulate_euler,
     solve_lasso,
     split_paths,
 )
 from sparse_ou.experiments import DriftScheme, generate_drift
+from sparse_ou.files import write_json
 
 
 def _cv_instance(dim=5, n_paths=120, seed=3):
@@ -229,7 +229,7 @@ class TestReportSerialization:
         grid = CvGrid(-3.0, -2.0, 0.5)
         report = cross_validate(train_stats, valid_stats, grid, penalty="l1")
         json_path = tmp_path / "report.json"
-        report_to_json(report, json_path)
+        write_json(report, json_path)
         payload = json.loads(json_path.read_text())
         assert payload["chosen_lambda"] == report.chosen_lambda
         assert len(payload["scores"]) == 3

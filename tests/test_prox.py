@@ -106,6 +106,8 @@ class TestProxL1:
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError):
             prox_l1(np.array([1.0]), -0.1)
+        with pytest.raises(ValueError):
+            prox_l1(np.ones(3), float("nan"))
 
 
 class TestProxSortedL1:

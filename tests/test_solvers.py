@@ -8,7 +8,6 @@ import pytest
 from oracles import cd_lasso, lasso_objective, random_spd_stats
 from sparse_ou import (
     DriftMatrix,
-    EstimatorResult,
     ExperimentPlan,
     InitialLaw,
     NumericalError,
@@ -23,8 +22,6 @@ from sparse_ou import (
     model_select,
     prox_l1,
     prox_sorted_l1,
-    result_from_json,
-    result_to_json,
     simulate_euler,
     simulate_exact,
     slope_weights,
@@ -385,19 +382,3 @@ class TestConfigAndResult:
         assert not result.converged
         assert result.iterations == 2
 
-    def test_result_json_round_trip(self, tmp_path):
-        rng = np.random.default_rng(18)
-        stats = random_spd_stats(rng, 3)
-        result = solve_lasso(stats, 0.2)
-        target = tmp_path / "result.json"
-        result_to_json(result, target)
-        parsed = result_from_json(target)
-        assert isinstance(parsed, EstimatorResult)
-        assert np.array_equal(parsed.estimate.entries, result.estimate.entries)
-        assert parsed.penalty_kind == result.penalty_kind
-        assert parsed.lambda_used == result.lambda_used
-        assert parsed.iterations == result.iterations
-        assert parsed.converged == result.converged
-        assert np.array_equal(
-            np.asarray(parsed.objective_history), np.asarray(result.objective_history)
-        )

@@ -1,7 +1,5 @@
 """Sufficient statistics, the quadratic loss, and its derivatives."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -17,8 +15,6 @@ from sparse_ou import (
     martingale_term,
     simulate_euler,
     simulate_exact,
-    stats_from_json,
-    stats_to_json,
 )
 from sparse_ou.experiments import DriftScheme, ExperimentPlan, generate_drift, holdout_stats
 from sparse_ou.model_select import split_paths
@@ -260,32 +256,6 @@ class TestEmpiricalSecondMoment:
 
 
 class TestSerialization:
-    def test_json_round_trip(self, tmp_path):
-        rng = np.random.default_rng(8)
-        stats = compute_suffstats(_bundle_from_array(rng.normal(size=(4, 11, 3)), 0.1))
-        target = tmp_path / "stats.json"
-        stats_to_json(stats, target)
-        parsed = stats_from_json(target)
-        assert np.array_equal(parsed.c_hat, stats.c_hat)
-        assert np.array_equal(parsed.b_hat, stats.b_hat)
-        assert parsed.n_paths == stats.n_paths
-        assert parsed.terminal == stats.terminal
-        assert parsed.step == stats.step
-
-    def test_json_is_plain_object(self, tmp_path):
-        stats = SuffStats(1, np.eye(1), np.eye(1), 2, 1.0, 0.5)
-        target = tmp_path / "stats.json"
-        stats_to_json(stats, target)
-        payload = json.loads(target.read_text())
-        assert payload["dim"] == 1
-        assert payload["n_paths"] == 2
-
-    def test_corrupt_json_raises_oserror(self, tmp_path):
-        target = tmp_path / "stats.json"
-        target.write_text("{not json")
-        with pytest.raises(OSError):
-            stats_from_json(target)
-
     def test_asymmetric_c_hat_rejected(self):
         with pytest.raises(ValueError):
             SuffStats(2, np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros((2, 2)), 1, 1.0, 0.01)
