@@ -85,6 +85,12 @@ def test_a_bool_is_read_only_from_a_json_boolean():
         read_value(bool, "false", "converged")
 
 
+def test_a_str_is_read_only_from_a_json_string():
+    assert read_value(str, "none", "penalty_kind") == "none"
+    with pytest.raises(ValueError, match="penalty_kind must be a JSON string"):
+        read_value(str, 5, "penalty_kind")
+
+
 @pytest.mark.parametrize("key, value", BUNDLE_CASES, ids=BUNDLE_IDS)
 def test_estimate_exits_3_on_a_bundle_it_cannot_read(tmp_path, capsys, key, value):
     target = tmp_path / "paths.bin"
