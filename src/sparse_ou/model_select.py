@@ -2,9 +2,12 @@
 
 The path bundle is split into a training prefix and a validation suffix (no
 shuffling: paths are exchangeable by construction). Candidate levels come
-from a logarithmic grid; each is fit on the training statistics, warm
-starting from the previous (larger) level, and scored by the validation
-quadratic loss. Ties break toward the larger level.
+from a logarithmic grid, fit largest first on the training statistics and
+scored by the validation quadratic loss; ties break toward the larger level.
+The second fit starts from the first. Lasso and SLOPE solutions are piecewise
+linear in the level (Efron et al., Ann. Statist. 32(2), 2004), so each later
+fit starts from the last two extrapolated to its level: exact while the
+active set (for SLOPE, also its clusters) holds.
 """
 
 import dataclasses
@@ -20,8 +23,8 @@ PENALTIES = {"lasso": "l1", "slope": "sorted_l1"}
 
 @dataclasses.dataclass(frozen=True)
 class CvGrid:
-    """Logarithmic grid ``10**(log10_min + k * log10_step) <= 10**log10_max``, at most 1000
-    levels, with exponents in ``[-307, 308]`` so that every level is a normal float."""
+    """Logarithmic grid ``10**(log10_min + k * log10_step) <= 10**log10_max``: at most 1000
+    levels, each a normal float (exponents in ``[-307, 308]``) above the one before."""
 
     log10_min: float
     log10_max: float
@@ -38,6 +41,8 @@ class CvGrid:
             raise ValueError("the grid must have at most 1000 levels")
         if not (-307 <= self.log10_min and self.log10_max <= 308):
             raise ValueError("grid exponents must lie in [-307, 308]")
+        if not np.all(np.diff(self.values()) > 0):
+            raise ValueError("grid levels must be strictly increasing as floats")
 
     @classmethod
     def default(cls):
@@ -107,8 +112,12 @@ def cross_validate(train_stats, valid_stats, grid, penalty="l1", config=None):
     levels = grid.values()
     fits = {}
     warm = None
-    # Large-to-small pass: each level starts from the previous solution.
+    # Largest level first; past two fits, start from the last two extrapolated.
     for lam in reversed(levels):
+        if len(fits) >= 2:
+            older, newer = list(fits)[-2:]
+            ratio = (lam - newer) / (newer - older)
+            warm = warm + ratio * (warm - fits[older].estimate.entries)
         try:
             if penalty == "l1":
                 fit = solve_lasso(train_stats, lam, config=config, warm_start=warm)

@@ -13,6 +13,10 @@ step ``1/L``, ``L`` the top eigenvalue of ``c_hat`` (the exact Lipschitz
 constant of the gradient), in a variant that is monotone up to rounding:
 whenever the accelerated candidate raises the objective the momentum is
 restarted and a plain proximal step from the current iterate is taken instead.
+The momentum coefficient is capped at V-FISTA's ``(1 - q) / (1 + q)``, with
+``q = sqrt(mu / L)`` and ``mu`` the bottom eigenvalue of ``c_hat`` (Beck,
+First-Order Methods in Optimization, SIAM 2017, 10.7.7); a singular ``c_hat``
+caps it at 1, plain FISTA.
 A fit stops on the step it just took, the fixed-point residual at the point it
 was taken from, so the stopping test costs no extra prox. The loop reads each
 candidate's penalty from the magnitudes its prox hands back, so a fit
@@ -101,7 +105,7 @@ def _proximal_path(stats, lam, weights, config, warm_start):
     # A candidate's penalty is the norm's own expression on the prox's sorted
     # magnitudes, so it has the norm's bits.
     config = config or SolverConfig()
-    lipschitz = stats.curvature_bound
+    smallest, lipschitz = stats.spectrum
     if lipschitz <= 0:
         raise NumericalError("c_hat has zero curvature; the penalized problem is degenerate")
     if warm_start is None:
@@ -114,6 +118,10 @@ def _proximal_path(stats, lam, weights, config, warm_start):
     # threshold and the stepped point rounding-consistent, so
     # lam == ||b_hat||_inf still maps a zero start to exactly zero.
     threshold = lam / lipschitz
+    # Momentum past V-FISTA's for c_hat's smallest eigenvalue, the loss's strong
+    # convexity, overshoots; a singular c_hat (<= 0 by rounding) caps it at 1.
+    ratio = math.sqrt(max(smallest, 0.0) / lipschitz)
+    momentum_cap = (1.0 - ratio) / (1.0 + ratio)
     momentum_point = current
     momentum = 1.0
     magnitudes = np.empty(current.shape if weights is None else current.size)
@@ -149,7 +157,8 @@ def _proximal_path(stats, lam, weights, config, warm_start):
             base = current
             candidate, candidate_value, candidate_gradient = prox_step(base, gradient)
         momentum_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
-        momentum_point = candidate + ((momentum - 1.0) / momentum_next) * (candidate - current)
+        coefficient = min((momentum - 1.0) / momentum_next, momentum_cap)
+        momentum_point = candidate + coefficient * (candidate - current)
         stalled = objective - candidate_value <= config.rel_tol * max(abs(objective), 1e-300)
         current, objective, gradient = candidate, candidate_value, candidate_gradient
         momentum = momentum_next

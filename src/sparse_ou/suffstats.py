@@ -36,7 +36,8 @@ class SuffStats:
 
     ``c_hat`` is symmetric positive semidefinite; ``b_hat`` is the increment
     cross moment. ``n_paths``, ``terminal`` and ``step`` record the data the
-    statistics were computed from.
+    statistics were computed from; ``spectrum`` caches both ends of ``c_hat``'s
+    spectrum, the solvers' curvature and strong convexity, from one ``eigvalsh``.
     """
 
     dim: int
@@ -66,9 +67,15 @@ class SuffStats:
         object.__setattr__(self, "b_hat", b)
 
     @functools.cached_property
+    def spectrum(self):
+        """Smallest and largest eigenvalues of ``c_hat`` (cached)."""
+        eigvals = np.linalg.eigvalsh(self.c_hat)
+        return float(eigvals[0]), float(eigvals[-1])
+
+    @property
     def curvature_bound(self):
-        """Largest eigenvalue of ``c_hat`` (cached)."""
-        return float(np.linalg.eigvalsh(self.c_hat)[-1])
+        """Largest eigenvalue of ``c_hat``."""
+        return self.spectrum[1]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -76,9 +76,10 @@ def _spectral_summaries(a):
         inverse = np.linalg.inv(eigvecs)
     except np.linalg.LinAlgError:
         raise UnsupportedInputError("drift matrix is not diagonalizable") from None
-    residual = eigvecs @ np.diag(eigvals) @ inverse - a
-    scale = max(float(np.linalg.norm(a)), 1.0)
-    if float(np.linalg.norm(residual)) > 1e-8 * scale:
+    # On ``a`` scaled exactly by a power of two, no norm overflows; NaN fails.
+    factor = 2.0 ** -max(int(np.frexp(np.max(np.abs(a)))[1]), 0)
+    residual = eigvecs @ np.diag(eigvals * factor) @ inverse - a * factor
+    if not float(np.linalg.norm(residual)) <= 1e-8 * max(float(np.linalg.norm(a * factor)), factor):
         raise UnsupportedInputError(
             "drift matrix is numerically defective (eigendecomposition residual too large)"
         )

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -250,8 +251,9 @@ class TestEstimate:
         (["--grid=-3:inf:1"], "grid bounds and step must be finite"),
         (["--grid=-3:0:1e-9"], "the grid must have at most 1000 levels"),
         (["--grid=0:400:1"], "grid exponents must lie in [-307, 308]"),
+        (["--grid=0:1e-16:1e-17"], "grid levels must be strictly increasing as floats"),
     ], ids=["negative_lambda", "nan_lambda", "infinite_lambda", "reversed_grid", "non_numeric_grid",
-            "infinite_grid", "oversized_grid", "overflowing_grid"])
+            "infinite_grid", "oversized_grid", "overflowing_grid", "repeating_grid"])
     def test_invalid_selector_value(self, tmp_path, capsys, monkeypatch, selector, message):
         bundle = _make_bundle(tmp_path)
         opened = []
@@ -749,11 +751,16 @@ class TestNonFiniteInputs:
         ("cinfty", {"drift": [[-1.0]], "terminal": float("inf")}, 2),
         ("cinfty", {"drift": [[1.0]], "terminal": 1e308}, 4),
         ("cinfty", {"drift": NORM_OVERFLOWS}, 4),
+        # A scaled Jordan block, defective at any scale, and a drift whose
+        # Frobenius norm overflows though its 1-norm does not.
+        ("cinfty", {"drift": [[-1e300, 1e300], [0.0, -1e300]]}, 2),
+        ("cinfty", {"drift": [[1e200, 0.0], [1e200, 0.0]]}, 4),
         ("kl", {"a1": [[-1.0]], "a2": [[-1.0]], "n_paths": 10, "terminal": float("nan")}, 2),
         ("estimate", HUGE, 3),
     ], ids=["simulate_huge", "simulate_inf", "simulate_norm_overflow", "reproduce_huge",
             "reproduce_nan_threshold", "concentration_huge", "cinfty_inf", "cinfty_huge",
-            "cinfty_norm_overflow", "kl_nan", "estimate_huge_header"])
+            "cinfty_norm_overflow", "cinfty_huge_defective", "cinfty_frobenius_overflow",
+            "kl_nan", "estimate_huge_header"])
     def test_exit_code_and_error_line(self, tmp_path, capsys, command, document, code):
         out = str(tmp_path / "out")
         if command == "estimate":
@@ -766,8 +773,13 @@ class TestNonFiniteInputs:
                 "reproduce": ["reproduce", "--plan", config, "--out-dir", out, "--threads", "1"],
             }.get(command, ["theory", command, "--config", config, "--out", out])
         capsys.readouterr()
-        assert main(argv) == code
-        assert capsys.readouterr().err.startswith("error: numerical failure: " if code == 4 else "error: ")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical failure: " if code == 4 else "error: ")
+        # The error line is all that reaches stderr: no numpy warning before it.
+        assert err.count("\n") == 1 and [str(w.message) for w in caught] == []
 
 
 class TestEntryPoint:

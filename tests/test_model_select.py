@@ -11,6 +11,7 @@ from sparse_ou import (
     CvReport,
     DriftMatrix,
     InitialLaw,
+    SuffStats,
     compute_suffstats,
     cross_validate,
     loss,
@@ -81,6 +82,14 @@ class TestGrid:
                 CvGrid(*bounds)
         levels = CvGrid(-307.0, 308.0, 5.0).values()
         assert levels[0] >= np.finfo(float).tiny and np.isfinite(levels[-1])
+
+    def test_levels_rise_strictly_as_floats(self):
+        # 11 exponents, but 10**(k * 1e-17) rounds to only 2 distinct floats:
+        # a sweep would fit and score the repeats, and the extrapolated warm
+        # start would divide by a zero level gap.
+        for bounds in ((0.0, 1e-16, 1e-17), (300.0, 300.0 + 1e-13, 1e-14)):
+            with pytest.raises(ValueError, match="grid levels must be strictly increasing as floats"):
+                CvGrid(*bounds)
 
 
 class TestSplit:
@@ -160,6 +169,29 @@ class TestCrossValidate:
         report = cross_validate(train_stats, valid_stats, grid, penalty="l1")
         assert np.array_equal(report.result.estimate.entries, np.zeros((5, 5)))
         assert report.chosen_lambda == pytest.approx(grid.values()[-1])
+
+    def test_extrapolated_start_is_exact_while_the_support_holds(self, monkeypatch):
+        # With a diagonal c_hat each lasso entry is (b - lam sign(b)) / c_jj,
+        # linear in lam while every |b| exceeds the level. Each fit after the
+        # second starts on that line, so it stops at its first step.
+        rng = np.random.default_rng(0)
+        b_hat = rng.choice([-1.0, 1.0], (3, 3)) * rng.uniform(1.0, 2.0, (3, 3))
+        train = SuffStats(3, np.diag([1.0, 2.0, 3.0]), b_hat, 10, 1.0, 0.01)
+        fits = []
+
+        def recording(*args, **options):
+            fits.append(solve_lasso(*args, **options))
+            return fits[-1]
+
+        monkeypatch.setattr("sparse_ou.model_select.solve_lasso", recording)
+        report = cross_validate(train, train, CvGrid(-3.0, -0.5, 0.25), penalty="l1")
+        assert len(fits) == 11 and min(fit.iterations for fit in fits[:2]) > 10
+        assert [fit.iterations for fit in fits[2:]] == [1] * 9
+        for fit in fits:
+            lam = fit.lambda_used
+            exact = (b_hat - lam * np.sign(b_hat)) / np.array([1.0, 2.0, 3.0])
+            assert np.allclose(fit.estimate.entries, exact, rtol=1e-6, atol=0.0), lam
+        assert report.chosen_lambda == 1e-3
 
     def test_deterministic_across_runs(self):
         _, train_stats, valid_stats, _ = _cv_instance(seed=8)

@@ -336,7 +336,7 @@ class TestConfigAndResult:
         iterations = sum(fit.iterations for _, fit in fits)
         proxes = [name for name in calls if name.startswith("prox_")]
         assert set(proxes) == {"prox_" + penalty}
-        assert len(proxes) <= 1.25 * iterations, (len(proxes), iterations)
+        assert len(proxes) <= 1.05 * iterations, (len(proxes), iterations)
         # Each prox hands back its penalty, so a SLOPE fit evaluates the norm
         # once, at its start, and a lasso fit never.
         norms = calls.count("sorted_l1_norm")
@@ -373,6 +373,26 @@ class TestConfigAndResult:
         assert fit.converged
         error = np.max(np.abs(fit.estimate.entries - reference)) / np.max(np.abs(reference))
         assert error <= 1e-3, error
+
+    @pytest.mark.parametrize("solve", [solve_lasso, solve_slope], ids=["lasso", "slope"])
+    def test_rank_deficient_c_hat_leaves_the_momentum_uncapped(self, solve):
+        # c_hat of rank 2 in dimension 4: the loss is not strongly convex, its
+        # smallest eigenvalue reads zero up to rounding, and the cap is 1. A
+        # spectrum whose bottom is exactly zero gives the same iterates, bit
+        # for bit; b_hat lies in c_hat's range, so the problem has a minimizer.
+        rng = np.random.default_rng(2)
+        factor = rng.normal(size=(2, 4))
+        c_hat = factor.T @ factor
+        stats = SuffStats(4, c_hat, rng.normal(size=(4, 4)) @ c_hat, 10, 1.0, 0.01)
+        assert abs(stats.spectrum[0]) <= 1e-12 * stats.spectrum[1]
+        zero = SuffStats(4, c_hat, stats.b_hat, 10, 1.0, 0.01)
+        zero.__dict__["spectrum"] = (0.0, stats.spectrum[1])
+        fit = solve(stats, 0.05)
+        assert fit.converged
+        assert np.all(np.diff(fit.objective_history) <= 1e-12 * abs(fit.objective_history[-1]))
+        same = solve(zero, 0.05)
+        assert same.iterations == fit.iterations
+        assert np.array_equal(same.estimate.entries, fit.estimate.entries)
 
     def test_iteration_cap_reported(self):
         rng = np.random.default_rng(17)

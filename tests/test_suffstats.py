@@ -15,6 +15,8 @@ from sparse_ou import (
     martingale_term,
     simulate_euler,
     simulate_exact,
+    solve_lasso,
+    solve_slope,
 )
 from sparse_ou.experiments import DriftScheme, ExperimentPlan, generate_drift, holdout_stats
 from sparse_ou.model_select import split_paths
@@ -185,6 +187,22 @@ class TestLoss:
         top = float(np.max(np.linalg.eigvalsh(stats.c_hat)))
         assert stats.curvature_bound == pytest.approx(top, rel=1e-7)
         assert loss(stats, np.zeros((6, 6))).lipschitz == pytest.approx(top, rel=1e-7)
+
+    def test_one_eigvalsh_gives_both_ends_of_the_spectrum(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda c: calls.append(1) or eigvalsh(c))
+        rng = np.random.default_rng(7)
+        basis, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+        c_hat = basis @ np.diag([3.0, 2.0, 1.0, 0.5, 0.2]) @ basis.T
+        stats = SuffStats(5, 0.5 * (c_hat + c_hat.T), rng.normal(size=(5, 5)), 10, 1.0, 0.01)
+        bottom, top = stats.spectrum
+        assert (bottom, top) == pytest.approx((0.2, 3.0), rel=1e-12)
+        assert stats.curvature_bound == top
+        assert loss(stats, np.zeros((5, 5))).lipschitz == top
+        solve_lasso(stats, 0.1)
+        solve_slope(stats, 0.1)
+        assert len(calls) == 1
 
     def test_lipschitz_on_simulated_stats(self):
         drift = DriftMatrix(3, np.array([[-1.0, 0.4, 0.0], [0.0, -0.6, 0.2], [0.1, 0.0, -0.9]]))
