@@ -140,8 +140,10 @@ def cmd_estimate(args):
     with read_bundle(args.bundle) as (header, blocks):
         n_train = None
         if grid is not None:
-            n_train = args.n_train if args.n_train is not None else max(1, int(round(0.8 * header["n_paths"])))
-            check_split(header["n_paths"], n_train)
+            n_paths = header["n_paths"]
+            # 80 percent, but never every path: the validation side needs one.
+            n_train = args.n_train if args.n_train is not None else min(round(0.8 * n_paths), n_paths - 1)
+            check_split(n_paths, n_train)
         stats = block_stats(blocks, header["dim"], header["terminal"], header["step"], n_train)
 
     cv_report = None

@@ -25,7 +25,7 @@ import time
 
 import numpy as np
 
-from .files import from_plain, read_value, to_plain, write_csv
+from .files import from_plain, read_value, write_csv
 from .model_select import PENALTIES, CvGrid, cross_validate
 from .process import DriftMatrix, InitialLaw, _grid_length, mix_seed, path_blocks, path_stream
 from .solvers import SolverConfig, solve_mle
@@ -47,7 +47,8 @@ class DriftScheme:
 
     Diagonal entries are uniform in ``[diag_low, diag_high]``; each
     off-diagonal entry is zero with probability ``offdiag_zero_prob`` and
-    otherwise uniform in ``[offdiag_low, offdiag_high]``.
+    otherwise uniform in ``[offdiag_low, offdiag_high]``. Each interval's
+    width must be a finite float, so its bounds are finite too.
     """
 
     diag_low: float = -1.0
@@ -57,8 +58,13 @@ class DriftScheme:
     offdiag_high: float = 0.5
 
     def __post_init__(self):
-        if self.diag_low > self.diag_high or self.offdiag_low > self.offdiag_high:
-            raise ValueError("interval bounds are reversed")
+        for low, high in ((self.diag_low, self.diag_high), (self.offdiag_low, self.offdiag_high)):
+            # A width past the float range (or NaN) makes the uniform draw raise.
+            if not np.isfinite(float(high) - float(low)):
+                raise ValueError("interval bounds must be finite and less than the float range "
+                                 "apart, got [%r, %r]" % (low, high))
+            if low > high:
+                raise ValueError("interval bounds are reversed")
         if not (0.0 <= self.offdiag_zero_prob <= 1.0):
             raise ValueError("offdiag_zero_prob must be in [0, 1]")
 
@@ -107,9 +113,6 @@ class ExperimentPlan:
         _grid_length(self.terminal, self.step)
         if not self.support_threshold > 0:
             raise ValueError("support_threshold must be positive")
-
-    def to_dict(self):
-        return to_plain(self)
 
     def drift(self, dim):
         """The drift of dimension ``dim``: ``generate_drift`` seeded by
@@ -198,15 +201,14 @@ def support_f1(estimate, true_support, threshold):
     return 2.0 * len(found & truth) / (len(found) + len(truth))
 
 
-def holdout_stats(drift, plan, n_paths, n_train, seed):
-    """Statistics of the first ``n_train`` of ``n_paths`` Euler paths and of the rest.
+def holdout_stats(drift, plan, seed):
+    """Statistics of the first ``plan.n_train`` of ``plan.n_paths`` Euler paths and of the rest.
 
     The paths stream from ``path_blocks`` into ``block_stats``, split at
-    ``n_train`` by path index.
+    ``plan.n_train`` by path index; other sizes take ``dataclasses.replace(plan, ...)``.
     """
-    check_split(n_paths, n_train)
-    blocks = path_blocks("euler", drift, plan.initial_law, n_paths, plan.terminal, plan.step, seed)
-    return block_stats(blocks, drift.dim, plan.terminal, plan.step, n_train)
+    blocks = path_blocks("euler", drift, plan.initial_law, plan.n_paths, plan.terminal, plan.step, seed)
+    return block_stats(blocks, drift.dim, plan.terminal, plan.step, plan.n_train)
 
 
 def run_cell(plan, dim, replicate, seed, estimators=_ESTIMATORS):
@@ -214,7 +216,7 @@ def run_cell(plan, dim, replicate, seed, estimators=_ESTIMATORS):
     paths of ``plan.drift(dim)`` split at ``plan.n_train``; a failed fit's row has status
     ``"failed: <error>"``."""
     drift = plan.drift(dim)
-    train_stats, valid_stats = holdout_stats(drift, plan, plan.n_paths, plan.n_train, seed)
+    train_stats, valid_stats = holdout_stats(drift, plan, seed)
     rows = []
     for name in estimators:
         fields = {}

@@ -123,7 +123,10 @@ def read_value(kind, value, key):
             raise ValueError("%s must be a number, got %r" % (key, value))
         if kind is int and not (isinstance(value, numbers.Integral) or float(value).is_integer()):
             raise ValueError("%s must be an integer, got %r" % (key, value))
-        return kind(value)
+        try:
+            return kind(value)
+        except OverflowError:  # a JSON integer past the float range
+            raise ValueError("%s must be a number in the float range" % (key,)) from None
     return value
 
 

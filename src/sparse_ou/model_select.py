@@ -3,7 +3,8 @@
 The path bundle is split into a training prefix and a validation suffix (no
 shuffling: paths are exchangeable by construction). Candidate levels come
 from a logarithmic grid, fit largest first on the training statistics and
-scored by the validation quadratic loss; ties break toward the larger level.
+each scored by the validation quadratic loss as it is fitted; ties break
+toward the larger level.
 The second fit starts from the first. Lasso and SLOPE solutions are piecewise
 linear in the level (Efron et al., Ann. Statist. 32(2), 2004), so each later
 fit starts from the last two extrapolated to its level: exact while the
@@ -14,6 +15,7 @@ import dataclasses
 
 import numpy as np
 
+from .errors import NumericalError
 from .solvers import EstimatorResult, solve_lasso, solve_slope
 from .suffstats import check_split, loss
 
@@ -103,21 +105,22 @@ def cross_validate(train_stats, valid_stats, grid, penalty="l1", config=None):
     -------
     CvReport
         ``scores`` lists (lambda, validation loss) in ascending lambda;
-        ``result`` is the training fit at the chosen level.
+        ``result`` is the training fit at the chosen level. ``NumericalError``
+        is raised instead when no level scores a finite validation loss.
     """
     if train_stats.dim != valid_stats.dim:
         raise ValueError("training and validation statistics disagree on dim")
     if penalty not in PENALTIES.values():
         raise ValueError("penalty must be 'l1' or 'sorted_l1'")
-    levels = grid.values()
-    fits = {}
+    scores = []
+    recent = []  # (level, estimate) of the last two fits, newest last
+    chosen, best = None, np.inf
     warm = None
     # Largest level first; past two fits, start from the last two extrapolated.
-    for lam in reversed(levels):
-        if len(fits) >= 2:
-            older, newer = list(fits)[-2:]
-            ratio = (lam - newer) / (newer - older)
-            warm = warm + ratio * (warm - fits[older].estimate.entries)
+    for lam in reversed(grid.values()):
+        if len(recent) == 2:
+            (older, start), (newer, end) = recent
+            warm = end + (lam - newer) / (newer - older) * (end - start)
         try:
             if penalty == "l1":
                 fit = solve_lasso(train_stats, lam, config=config, warm_start=warm)
@@ -130,13 +133,14 @@ def cross_validate(train_stats, valid_stats, grid, penalty="l1", config=None):
             named = type(exc).__new__(type(exc), "lambda=%r: %s" % (lam, exc))
             named.__dict__.update(exc.__dict__)
             raise named from exc
-        fits[lam] = fit
         warm = fit.estimate.entries
-    scores = [(lam, loss(valid_stats, fits[lam].estimate.entries).value) for lam in levels]
-    chosen = None
-    best = np.inf
-    for lam, score in reversed(scores):
+        score = loss(valid_stats, warm).value
+        scores.append((lam, score))
+        # Only a strictly lower score moves the pick, so a tie keeps the larger level.
         if score < best:
-            best = score
-            chosen = lam
-    return CvReport(chosen_lambda=chosen, scores=scores, result=fits[chosen], penalty_kind=penalty)
+            chosen, best = fit, score
+        recent = [*recent[-1:], (lam, warm)]
+    if chosen is None:
+        raise NumericalError("no level of the grid has a finite validation loss")
+    return CvReport(chosen_lambda=chosen.lambda_used, scores=scores[::-1], result=chosen,
+                    penalty_kind=penalty)

@@ -145,12 +145,8 @@ class DriftMatrix:
     @functools.cached_property
     def support(self):
         """Frozen set of the ``(row, column)`` pairs of the nonzero entries, computed on
-        first use; estimators use it for support metrics, never for fitting."""
+        first use; support metrics and the rate envelope's sparsity use it, fitting never does."""
         return frozenset((int(i), int(j)) for i, j in zip(*np.nonzero(self.entries)))
-
-    @property
-    def nnz(self):
-        return int(np.count_nonzero(self.entries))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

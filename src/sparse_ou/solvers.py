@@ -70,11 +70,13 @@ def solve_mle(stats):
 
     Uses a linear solve (never an explicit inverse) plus iterative
     refinement until ``||A c_hat - b_hat||_inf <= 1e-8 * ||b_hat||_inf``.
-    Raises ``NumericalError`` when the condition number of ``c_hat`` is
-    ``1e12`` or worse.
+    Raises ``NumericalError`` when ``c_hat``'s condition number, the ratio of
+    the ends of ``stats.spectrum``, is ``1e12`` or worse; it is infinite for
+    a ``c_hat`` that is not positive definite, whose loss has no minimizer.
     """
-    condition = float(np.linalg.cond(stats.c_hat))
-    if not math.isfinite(condition) or condition >= 1e12:
+    smallest, largest = stats.spectrum
+    condition = largest / smallest if smallest > 0 else math.inf
+    if not condition < 1e12:
         raise NumericalError(
             "c_hat is too ill conditioned for maximum likelihood (condition %.3e)" % condition
         )

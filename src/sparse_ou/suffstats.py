@@ -37,7 +37,7 @@ class SuffStats:
     ``c_hat`` is symmetric positive semidefinite; ``b_hat`` is the increment
     cross moment. ``n_paths``, ``terminal`` and ``step`` record the data the
     statistics were computed from; ``spectrum`` caches both ends of ``c_hat``'s
-    spectrum, the solvers' curvature and strong convexity, from one ``eigvalsh``.
+    spectrum from one ``eigvalsh``, the package's only decomposition of ``c_hat``.
     """
 
     dim: int
@@ -72,19 +72,13 @@ class SuffStats:
         eigvals = np.linalg.eigvalsh(self.c_hat)
         return float(eigvals[0]), float(eigvals[-1])
 
-    @property
-    def curvature_bound(self):
-        """Largest eigenvalue of ``c_hat``."""
-        return self.spectrum[1]
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class LossReport:
-    """Loss value, gradient and curvature bound at one candidate drift."""
+    """Loss value and gradient at one candidate drift."""
 
     value: float
     gradient: np.ndarray
-    lipschitz: float
 
 
 def check_split(n_paths, n_train):
@@ -163,15 +157,14 @@ def loss(stats, candidate):
     LossReport
         ``value = 0.5 * tr(A c_hat A^T) - <A, b_hat>`` (equal to the
         discretized average negative log-likelihood up to a constant in
-        ``A``), ``gradient = A c_hat - b_hat``, and ``lipschitz`` the top
-        eigenvalue of ``c_hat``, which bounds the gradient's Lipschitz
-        constant exactly.
+        ``A``) and ``gradient = A c_hat - b_hat``, whose Lipschitz constant
+        is exactly ``stats.spectrum[1]``.
     """
     a = np.asarray(candidate, dtype=float)
     if a.shape != (stats.dim, stats.dim):
         raise ValueError("candidate must have shape (%d, %d)" % (stats.dim, stats.dim))
     value, gradient = quadratic(stats, a)
-    return LossReport(value=value, gradient=gradient, lipschitz=stats.curvature_bound)
+    return LossReport(value=value, gradient=gradient)
 
 
 def quadratic(stats, a, value=True):

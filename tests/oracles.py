@@ -13,6 +13,7 @@ statistics, selection and error, on the package's ``holdout_stats`` and
 cell.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -217,10 +218,10 @@ def looped_rate_points(plan, points, reps, penalty):
     drift = plan.drift(plan.dims[0])
     means = []
     for n_train in points:
+        cell_plan = dataclasses.replace(plan, n_paths=n_train + max(n_train // 4, 8), n_train=n_train)
         errors = []
         for replicate in range(reps):
-            train, valid = holdout_stats(drift, plan, n_train + max(n_train // 4, 8), n_train,
-                                         mix_seed(plan.master_seed, 3, n_train, replicate))
+            train, valid = holdout_stats(drift, cell_plan, mix_seed(plan.master_seed, 3, n_train, replicate))
             report = cross_validate(train, valid, plan.grid, penalty=penalty, config=plan.solver)
             errors.append(float(np.linalg.norm(report.result.estimate.entries - drift.entries)))
         means.append(float(np.mean(errors)))

@@ -302,13 +302,15 @@ class TestEstimate:
         document = json.loads((tmp_path / "fit.json").read_text())
         assert len(document["cv_report"]["scores"]) == 3
 
-    @pytest.mark.parametrize("selector, n_train", [(["--method", "lasso", "--grid=-3:-1:1"], 40),
-                                                   (["--method", "lasso", "--grid=-3:-1:1",
-                                                     "--n-train", "30"], 30),
-                                                   (["--method", "mle"], None)],
-                             ids=["grid_default", "grid_given", "mle"])
-    def test_manifest_records_the_train_count_used(self, tmp_path, selector, n_train):
-        bundle = _make_bundle(tmp_path, n_paths=50)
+    # The default split takes 80 percent of the paths, but leaves one for validation.
+    @pytest.mark.parametrize("selector, n_paths, n_train", [
+        (["--method", "lasso", "--grid=-3:-1:1"], 50, 40),
+        (["--method", "lasso", "--grid=-3:-1:1", "--n-train", "30"], 50, 30),
+        (["--method", "mle"], 50, None),
+        (["--method", "slope", "--grid", "default"], 2, 1),
+    ], ids=["grid_default", "grid_given", "mle", "grid_default_two_paths"])
+    def test_manifest_records_the_train_count_used(self, tmp_path, selector, n_paths, n_train):
+        bundle = _make_bundle(tmp_path, n_paths=n_paths)
         out = str(tmp_path / "fit.json")
         assert main(["estimate", "--bundle", bundle, *selector, "--out", out]) == 0
         manifest = json.loads((tmp_path / "fit.json.manifest.json").read_text())
@@ -757,10 +759,19 @@ class TestNonFiniteInputs:
         ("cinfty", {"drift": [[1e200, 0.0], [1e200, 0.0]]}, 4),
         ("kl", {"a1": [[-1.0]], "a2": [[-1.0]], "n_paths": 10, "terminal": float("nan")}, 2),
         ("estimate", HUGE, 3),
+        # Drift schemes whose bounds, or whose interval's width, leave the float range.
+        ("reproduce", {**PLAN, "scheme": {"diag_low": float("nan")}}, 2),
+        ("reproduce", {**PLAN, "scheme": {"diag_high": float("inf")}}, 2),
+        ("reproduce", {**PLAN, "scheme": {"offdiag_low": -1e308, "offdiag_high": 1e308}}, 2),
+        ("reproduce", {**PLAN, "scheme": {"diag_low": -10 ** 400}}, 2),
+        ("simulate", _simulate_config(drift={"generator": {
+            "dim": 3, "seed": 1, "scheme": {"offdiag_low": -1e308, "offdiag_high": 1e308}}}), 2),
     ], ids=["simulate_huge", "simulate_inf", "simulate_norm_overflow", "reproduce_huge",
             "reproduce_nan_threshold", "concentration_huge", "cinfty_inf", "cinfty_huge",
             "cinfty_norm_overflow", "cinfty_huge_defective", "cinfty_frobenius_overflow",
-            "kl_nan", "estimate_huge_header"])
+            "kl_nan", "estimate_huge_header", "reproduce_nan_scheme", "reproduce_inf_scheme",
+            "reproduce_scheme_width_overflows", "reproduce_integer_bound_past_float_range",
+            "simulate_scheme_width_overflows"])
     def test_exit_code_and_error_line(self, tmp_path, capsys, command, document, code):
         out = str(tmp_path / "out")
         if command == "estimate":
@@ -780,6 +791,9 @@ class TestNonFiniteInputs:
         assert err.startswith("error: numerical failure: " if code == 4 else "error: ")
         # The error line is all that reaches stderr: no numpy warning before it.
         assert err.count("\n") == 1 and [str(w.message) for w in caught] == []
+        if command == "reproduce":
+            # Each of these plans is invalid, so the output directory is never made.
+            assert err.startswith("error: invalid plan: ") and not os.path.exists(out)
 
 
 class TestEntryPoint:

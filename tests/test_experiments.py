@@ -12,6 +12,7 @@ from sparse_ou import (
     display_transform,
     export_figure_data,
     generate_drift,
+    mix_seed,
     plan_from_dict,
     run_experiment,
     solve_mle,
@@ -19,7 +20,7 @@ from sparse_ou import (
     support_f1,
 )
 from sparse_ou.experiments import holdout_stats, run_cell
-from sparse_ou.files import read_arguments, read_value
+from sparse_ou.files import read_arguments, read_value, to_plain
 
 TINY = dict(dims=(3, 4), replicates=2, n_paths=40, n_train=32, heatmap_dims=(3,))
 
@@ -189,8 +190,25 @@ class TestRunExperiment:
         plan = _tiny_plan(n_paths=50, n_train=36)
         (row,) = run_cell(plan, 3, 0, 7, ("mle",))
         assert drawn == [50]
-        train_stats, _ = holdout_stats(plan.drift(3), plan, 50, 36, 7)
+        train_stats, _ = holdout_stats(plan.drift(3), plan, 7)
         assert np.array_equal(row.estimate, solve_mle(train_stats).estimate.entries)
+
+    def test_one_decomposition_of_c_hat_per_cell(self, monkeypatch):
+        # The MLE's conditioning, the penalized fits' curvature and both sweeps
+        # all read the training statistics' one cached spectrum.
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def refused(*args, **options):
+            raise AssertionError("np.linalg.cond called")
+
+        monkeypatch.setattr(np.linalg, "cond", refused)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda c: calls.append(1) or eigvalsh(c))
+        plan = ExperimentPlan()
+        rows = run_cell(plan, 5, 0, mix_seed(plan.master_seed, 2, 5, 0))
+        assert [(row.estimator, row.status, row.converged) for row in rows] == [
+            ("mle", "ok", True), ("lasso", "ok", True), ("slope", "ok", True)]
+        assert len(calls) == 1
 
     def test_threads_do_not_change_results(self):
         plan = _tiny_plan()
@@ -358,14 +376,14 @@ class TestPlanParsing:
 
     def test_round_trip(self):
         plan = _tiny_plan()
-        document = plan.to_dict()
+        document = to_plain(plan)
         clone = plan_from_dict(document)
         assert clone.dims == plan.dims
         assert clone.replicates == plan.replicates
         assert clone.grid.log10_min == plan.grid.log10_min
         assert clone.solver.rel_tol == plan.solver.rel_tol
         assert clone.initial_law.kind == plan.initial_law.kind
-        assert clone.to_dict() == document
+        assert to_plain(clone) == document
         assert document["dims"] == [3, 4]
         assert document["grid"] == {"log10_min": -3.0, "log10_max": 0.0, "log10_step": 0.25}
         assert document["initial_law"] == {"kind": "zero", "covariance": None}
@@ -425,7 +443,7 @@ class TestPlanParsing:
     def test_scheme_object(self):
         plan = plan_from_dict({"scheme": {"offdiag_zero_prob": 0.9}})
         assert plan.scheme == DriftScheme(offdiag_zero_prob=0.9)
-        assert plan.to_dict()["scheme"]["offdiag_zero_prob"] == 0.9
+        assert to_plain(plan)["scheme"]["offdiag_zero_prob"] == 0.9
         with pytest.raises(ValueError, match="interval bounds are reversed"):
             plan_from_dict({"scheme": {"diag_low": 1.0, "diag_high": -1.0}})
         with pytest.raises(ValueError, match="offdiag_zero_prob must be in"):

@@ -11,6 +11,7 @@ from sparse_ou import (
     CvReport,
     DriftMatrix,
     InitialLaw,
+    NumericalError,
     SuffStats,
     compute_suffstats,
     cross_validate,
@@ -235,6 +236,15 @@ class TestCrossValidate:
         rng = np.random.default_rng(1)
         with pytest.raises(NumericalError, match="lambda"):
             cross_validate(bad, random_spd_stats(rng, 2), CvGrid(-2.0, -1.0, 0.5))
+
+    def test_no_finite_score_raises(self):
+        # Validation statistics this large overflow every level's loss to inf.
+        rng = np.random.default_rng(2)
+        train = random_spd_stats(rng, 4)
+        huge = SuffStats(4, 8e307 * np.eye(4), np.zeros((4, 4)), 1, 1.0, 0.01)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match="finite validation loss"):
+            cross_validate(train, huge, CvGrid(-3.0, -1.0, 1.0))
 
 
     def test_failure_with_two_argument_constructor_keeps_type(self, monkeypatch):

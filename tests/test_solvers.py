@@ -17,7 +17,6 @@ from sparse_ou import (
     compute_suffstats,
     cross_validate,
     generate_drift,
-    loss,
     mix_seed,
     model_select,
     prox_l1,
@@ -41,8 +40,7 @@ def _sweep_fits(monkeypatch, dim, penalty):
     """Training statistics and every (level, fit) of the default plan's
     warm-started hold-out sweep at ``dim``, replicate 0."""
     plan = ExperimentPlan()
-    train, valid = holdout_stats(plan.drift(dim), plan, plan.n_paths, plan.n_train,
-                                 mix_seed(plan.master_seed, 2, dim, 0))
+    train, valid = holdout_stats(plan.drift(dim), plan, mix_seed(plan.master_seed, 2, dim, 0))
     name = {"l1": "solve_lasso", "sorted_l1": "solve_slope"}[penalty]
     solve = getattr(model_select, name)
     fits = []
@@ -101,6 +99,12 @@ class TestMle:
     def test_singular_second_moment_raises(self):
         stats = SuffStats(2, np.zeros((2, 2)), np.eye(2), 1, 1.0, 0.01)
         with pytest.raises(NumericalError):
+            solve_mle(stats)
+
+    def test_indefinite_second_moment_raises(self):
+        # The loss is unbounded below; b_hat c_hat^{-1} is a saddle point, not an MLE.
+        stats = SuffStats(2, np.diag([-1.0, 2.0]), np.eye(2), 1, 1.0, 0.01)
+        with pytest.raises(NumericalError, match="condition inf"):
             solve_mle(stats)
 
     def test_near_singular_raises(self):
@@ -166,7 +170,7 @@ class TestLasso:
         config = SolverConfig()
         result = solve_lasso(stats, 0.15, config=config)
         a = result.estimate.entries
-        lip = loss(stats, a).lipschitz
+        lip = stats.spectrum[1]
         stepped = prox_l1(a - (a @ stats.c_hat - stats.b_hat) / lip, 0.15 / lip)
         gap = np.max(np.abs(stepped - a))
         assert gap <= 10 * config.rel_tol * (1.0 + np.max(np.abs(a)))
@@ -306,7 +310,7 @@ class TestConfigAndResult:
         # The solver stops on the step it just took; a converged fit must
         # still pass the residual test at the iterate it returns.
         stats, fits = _sweep_fits(monkeypatch, dim, penalty)
-        lipschitz = stats.curvature_bound
+        lipschitz = stats.spectrum[1]
         rel_tol = SolverConfig().rel_tol
         for lam, fit in fits:
             a = fit.estimate.entries
@@ -347,8 +351,7 @@ class TestConfigAndResult:
         # The loop takes each penalty from its prox; it must be the penalty of
         # the public definitions, bit for bit.
         plan = ExperimentPlan()
-        train, _ = holdout_stats(plan.drift(dim), plan, plan.n_paths, plan.n_train,
-                                 mix_seed(plan.master_seed, 2, dim, 0))
+        train, _ = holdout_stats(plan.drift(dim), plan, mix_seed(plan.master_seed, 2, dim, 0))
         weights = slope_weights(dim * dim)
         for solve, penalty in ((solve_lasso, lambda a: np.sum(np.abs(a))),
                                (solve_slope, lambda a: sorted_l1_norm(a, weights))):
@@ -365,8 +368,7 @@ class TestConfigAndResult:
         # is loose, so the relative objective test is the one that keeps the
         # fit going: the step test alone stops it about 9e-3 off the reference.
         plan = ExperimentPlan()
-        train, _ = holdout_stats(plan.drift(10), plan, plan.n_paths, plan.n_train,
-                                 mix_seed(plan.master_seed, 2, 10, 0))
+        train, _ = holdout_stats(plan.drift(10), plan, mix_seed(plan.master_seed, 2, 10, 0))
         small = dataclasses.replace(train, b_hat=train.b_hat * 1e-6)
         fit = solve(small, 1e-8)
         reference = solve(small, 1e-8, config=SolverConfig(rel_tol=1e-15)).estimate.entries

@@ -256,7 +256,7 @@ class TestMinimaxFamily:
             assert values.size == 1 and values[0] == pytest.approx(1.0)
             # r = (8 - 4) / 2 = 2 nonzero entries in the antisymmetric part.
             assert int(np.sum(np.abs(b) > 0)) == 2
-            assert member.nnz <= 8
+            assert len(member.support) <= 8
 
     def test_members_distinct(self):
         members = minimax_family(dim=5, sparsity=14, w=0.1, count=8, seed=1)
@@ -336,6 +336,21 @@ class TestKl:
         expected = 0.5 * 30 * float(np.sum(gap * gap)) * constant
         assert kl_between(a1, a2, 30) == pytest.approx(expected, rel=1e-10)
 
+    @pytest.mark.parametrize("alpha_t", [1e-300, 1e-162, 1e-20, 1e-9, 1e-4, 0.1, 0.2499, 0.25, 0.3,
+                                         1.0, 5.0, 50.0])
+    def test_small_alpha_against_quadrature(self, alpha_t):
+        # The closed form cancels as alpha T -> 0: at alpha = 1e-9, T = 1 it gave
+        # 14.14 for an integral of about 0.5, and below about 1e-162 it divided by zero.
+        terminal = 2.0
+        alpha = alpha_t / terminal
+        b = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        a1 = -(alpha * np.eye(2) + 0.1 * b)
+        a2 = -(alpha * np.eye(2) - 0.1 * b)
+        constant, _ = integrate.quad(lambda t: -math.expm1(-2.0 * alpha * t) / (2.0 * alpha),
+                                     0.0, terminal, epsabs=0.0, epsrel=1e-13, limit=200)
+        expected = 0.5 * 3 * float(np.sum((a1 - a2) ** 2)) * constant
+        assert kl_between(a1, a2, 3, terminal) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_unit_alpha_reference_constant(self):
         # With symmetric part -I the time integral equals the same constant
         # as the scalar averaged moment: (1 + e^{-2}) / 4.
@@ -413,7 +428,7 @@ class TestRateSweep:
         from sparse_ou.process import mix_seed
 
         drift = generate_drift(5, plan.scheme, mix_seed(plan.master_seed, 1, 5))
-        s = drift.nnz
+        s = len(drift.support)
         expected = math.sqrt(s) * math.sqrt(math.log(math.e * 25.0 / s) / 40.0)
         assert report.psi[0] == pytest.approx(expected, rel=1e-12)
 
